@@ -20,7 +20,7 @@ from . import __version__
 from .detect import BackdoorQuery, find_backdoor, verify_backdoor
 from .depgraph import (describe_witness, dot_ddg, dot_incidence, dot_udg,
                        witness_cycle)
-from .evaluate import REASON_MODES, answer_sets, reason
+from .evaluate import REASON_MODES, answer_sets, mode_result
 from .generate import (GenConfig, HITTING_VARIANTS, child_seed,
                        disjoint_copies, from_hitting_set, parse_hitting_set,
                        random_program)
@@ -201,21 +201,12 @@ def _cmd_solve(args) -> int:
         total, rejected = rep.candidates_total, rep.candidates_rejected
     ms = (time.perf_counter() - t0) * 1000.0
 
-    ordered = sorted(sets, key=sorted)
-    if args.mode == "consistency":
-        result = bool(sets)
-    elif args.mode == "count":
-        result = len(sets)
-    elif args.mode == "enumerate":
-        result = [_names(p, s) for s in ordered]
-    elif args.mode == "brave":
-        result = any(atom in s for s in sets)
-    else:
-        result = all(atom in s for s in sets)
+    result = mode_result(sets, args.mode, atom)
+    shown = [_names(p, s) for s in result] if args.mode == "enumerate" else result
 
     if args.format == "json":
         _emit_json({"mode": args.mode, "engine": args.engine,
-                    "atom": args.atom, "result": result,
+                    "atom": args.atom, "result": shown,
                     "answer_set_count": len(sets),
                     "backdoor": _names(p, backdoor),
                     "candidates_total": total, "candidates_rejected": rejected,
@@ -224,9 +215,9 @@ def _cmd_solve(args) -> int:
         if args.mode == "consistency":
             print("consistent" if result else "inconsistent")
         elif args.mode == "enumerate":
-            for s in ordered:
+            for s in result:
                 print(_set_text(p, s))
-            if not ordered:
+            if not result:
                 print("inconsistent")
         elif args.mode in ("brave", "cautious"):
             print("yes" if result else "no")
@@ -301,7 +292,7 @@ def _cmd_stats(args) -> int:
     for path in args.files:
         try:
             rows.append(_stats_row(path, target, args.kind))
-        except (OSError, ParseError) as e:
+        except (OSError, ValueError, ParseError) as e:
             failures.append({"file": path, "error": str(e)})
             print(f"stats: skipping {path}: {e}", file=sys.stderr)
     fracs = [r["fraction"] for r in rows]

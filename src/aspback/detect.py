@@ -16,7 +16,7 @@ from itertools import combinations
 from .depgraph import witness_cycle
 from .program import (ACYCLIC_CLASSES, Program, TargetClass, core,
                       in_target_class, rule_flags)
-from .reducts import assignments_over, delete_atoms, ta_reduct
+from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
 
 STRONG_ENUM_GUARD = 30
 STRONG_ACYCLIC_K_GUARD = 12
@@ -260,10 +260,7 @@ def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    xx = frozenset(x)
-    for a in xx:
-        if not (0 <= a < p.n_atoms):
-            raise ValueError(f"unknown atom id {a} in backdoor")
+    xx = check_atoms(p, x, "backdoor")
     if kind == "deletion":
         return in_target_class(delete_atoms(p, xx), target)
     dom = sorted(xx & p.occurring_atoms())

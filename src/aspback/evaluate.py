@@ -1,11 +1,13 @@
-"""Backdoor evaluation: candidate enumeration plus the subset minimality check.
+"""Evaluation through a strong Horn backdoor x, with the program compiled once per x.
 
-Given a strong Horn backdoor x, every truth assignment over x yields a Horn*
-reduct with at most one answer set (the least model of its definite core), so
-the candidate space is the 2^|x| sets L u tau^-1(1).  A candidate M survives
-iff it models the program and no proper submodel of the GL reduct exists; the
-latter is decided by scanning subsets X1 of M n x and propagating a Horn
-program per subset, which keeps the check fixed-parameter in |x|.
+Each truth assignment tau over x gives a Horn* reduct whose only possible answer
+set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
+The rules without atoms of x are closed once into a shared least model B; per tau
+only the surviving rules that touch x are switched on and propagation goes on from
+B.  Only rules with their head inside x (constraints too) can fail the model test.
+If no surviving rule of the GL reduct P^M keeps two head atoms (true of every normal
+program), M is minimal iff it is the least model of P^M's definite part, one more
+propagation; otherwise subsets of M n x are scanned, one Horn propagation each.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from itertools import combinations
 
 from .horn import is_model, propagate_definite
 from .program import Program, rule_flags
-from .reducts import TruthAssignment
+from .reducts import TruthAssignment, check_atoms
 
 ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20
-SUBSET_GUARD = 30
+
+ACCEPTED, FAILED_MODEL, FAILED_MINIMAL = range(3)
 
 
 @dataclass(frozen=True)
@@ -37,137 +40,188 @@ class EvalReport:
     backdoor: frozenset[int]
     answer_sets: frozenset[frozenset[int]]
     candidates_total: int
-    candidates_rejected: int
+    failed_model: int
+    failed_minimal: int
+
+    @property
+    def candidates_rejected(self) -> int:
+        return self.failed_model + self.failed_minimal
 
 
-def _prepare(p: Program, x) -> tuple[list[int], list[tuple[int, int, int, int, frozenset[int]]]]:
-    """Domain atoms of x and mask-compiled rules for reduct enumeration.
+class _Evaluator:
+    """p compiled for evaluation through the strong Horn backdoor x.
 
-    Rules whose head sits inside x never survive a reduct and tautological
-    rules never affect one, so both are compiled away.  Raises when some
-    non-tautological rule would leave a non-Horn reduct rule: x is then not
-    a strong Horn backdoor, whatever the assignment.
+    Propagation rules are the non-tautological rules whose head leaves x and
+    those with one head atom inside x, each with a counter of its positive
+    body plus one while it is switched off.  Mask bit i stands for dom[i].
     """
-    xx = frozenset(x)
-    for a in xx:
-        if not (0 <= a < p.n_atoms):
-            raise ValueError(f"unknown atom id {a} in backdoor")
-    dom = sorted(xx & p.occurring_atoms())
-    if len(dom) > ENUM_GUARD:
-        raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
-    bit = {a: 1 << i for i, a in enumerate(dom)}
-    xset = frozenset(dom)
-    compiled = []
-    for r in p.rules:
-        if rule_flags(r).tautological or r.head <= xset:
-            continue
-        h = r.head - xset
-        bn = r.neg_body - xset
-        if len(h) != 1 or bn:
-            raise ValueError(
-                "some truth assignment reduct is not Horn*: "
-                "x is not a strong Horn backdoor")
-        hm = sum(bit[a] for a in r.head if a in bit)
-        pm = sum(bit[a] for a in r.pos_body if a in bit)
-        nm = sum(bit[a] for a in r.neg_body if a in bit)
-        compiled.append((hm, pm, nm, next(iter(h)), r.pos_body - xset))
-    return dom, compiled
 
+    def __init__(self, p: Program, x):
+        self.xset = check_atoms(p, x, "backdoor") & p.occurring_atoms()
+        self.dom = sorted(self.xset)
+        if len(self.dom) > ENUM_GUARD:
+            raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
+        bit = {a: 1 << i for i, a in enumerate(self.dom)}
 
-def _least_for_mask(compiled, full: int, t: int) -> frozenset[int]:
-    t0 = full ^ t
-    definite = [(h, bp) for hm, pm, nm, h, bp in compiled
-                if not (hm & t or pm & t0 or nm & t)]
-    return propagate_definite(definite)
+        def mask(atoms) -> int:
+            return sum(bit[a] for a in atoms if a in bit)
 
+        self.rules = [r for r in p.rules if not rule_flags(r).tautological]
+        self.heads: list[int] = []
+        self.occ: list[list[int]] = [[] for _ in range(p.n_atoms)]
+        self.gated: list[tuple[int, int, int]] = []  # (rule, head mask, neg mask)
+        self.counts: list[int] = []
+        checks, free = [], []
+        for r in self.rules:
+            i, hm, nm = len(self.heads), mask(r.head), mask(r.neg_body)
+            if r.head <= self.xset:
+                checks.append((hm, mask(r.pos_body), nm, r.pos_body - self.xset,
+                               r.neg_body - self.xset, i if len(r.head) == 1 else None))
+                if len(r.head) != 1:
+                    continue
+            elif len(r.head - self.xset) != 1 or r.neg_body - self.xset:
+                raise ValueError("some truth assignment reduct is not Horn*: "
+                                 "x is not a strong Horn backdoor")
+            else:
+                (self.gated if hm | nm else free).append((i, hm, nm))
+            for a in r.pos_body:
+                self.occ[a].append(i)
+            self.heads.extend(r.head - self.xset or r.head)  # its one head atom
+            self.counts.append(len(r.pos_body) + 1)
+        # B: the rules that mention no atom of x, closed once and for all
+        self.base: frozenset[int] = frozenset()
+        self.base = frozenset(self._close([i for i, _, _ in free], [], self.counts))
+        # (head, pos, neg masks, pos and neg atoms outside x and B, rule or None);
+        # a negative body meeting B satisfies the rule and drops it from P^M
+        self.checks = [(hm, pm, nm, pos - self.base, neg, i)
+                       for hm, pm, nm, pos, neg, i in checks if self.base.isdisjoint(neg)]
 
-def _true_atoms(dom: list[int], t: int) -> frozenset[int]:
-    return frozenset(a for i, a in enumerate(dom) if t >> i & 1)
+    def _close(self, on: list[int], seeds: list[int], counts=None) -> set[int]:
+        """Atoms derived outside B once the rules `on` are switched on and the
+        atoms `seeds` are true, from a copy of the counters after B by default."""
+        heads, occ, base = self.heads, self.occ, self.base
+        counts = self.counts.copy() if counts is None else counts
+        for i in on:
+            counts[i] -= 1
+        stack = seeds + [heads[i] for i in on if not counts[i]]
+        new: set[int] = set()
+        while stack:
+            a = stack.pop()
+            if a in new or a in base:
+                continue
+            new.add(a)
+            for i in occ[a]:
+                counts[i] -= 1
+                if not counts[i]:
+                    stack.append(heads[i])
+        return new
+
+    def true_atoms(self, t: int) -> list[int]:
+        return [a for i, a in enumerate(self.dom) if t >> i & 1]
+
+    def closure(self, t: int) -> set[int]:
+        """M \\ B for the candidate M = L u tau^-1(1) of the assignment t."""
+        on = [i for i, hm, nm in self.gated if not (hm | nm) & t]
+        return self._close(on, self.true_atoms(t))
+
+    def models(self, t: int, new: set[int]) -> bool:
+        """Does the candidate B u new of t satisfy the rules with head inside x?"""
+        for hm, pm, nm, pos, neg, _ in self.checks:
+            if not (hm | nm) & t and not pm & ~t and pos <= new and new.isdisjoint(neg):
+                return False
+        return True
+
+    def minimal(self, t: int, new: set[int]) -> bool:
+        """Is the model M = B u new of p, with M n x = tau^-1(1), minimal for P^M?"""
+        on = []
+        for i, hm, nm in self.gated:
+            if not nm & t:
+                if hm:  # the rule keeps two head atoms in P^M
+                    return self.scan(self.base | new, None)
+                on.append(i)
+        for hm, _, nm, _, neg, i in self.checks:
+            if not nm & t and new.isdisjoint(neg):
+                if hm & (hm - 1):
+                    return self.scan(self.base | new, None)
+                if i is not None:
+                    on.append(i)
+        return self._close(on, []) == new
+
+    def scan(self, mm: frozenset[int], order) -> bool:
+        """Minimality of the model mm by scanning subsets X1 of mm n x.
+
+        The default order is size-then-lexicographic; the scan stops at the
+        first X1 that exposes a proper submodel of the GL reduct.
+        """
+        # non-tautological GL reduct survivors; their erased negative bodies and
+        # the dropped tautological rules are satisfied by every subset of mm
+        surv = [(r.head, r.pos_body) for r in self.rules if not r.neg_body & mm]
+        if order is None:
+            inter = sorted(mm & self.xset)
+            order = (frozenset(c) for size in range(len(inter) + 1)
+                     for c in combinations(inter, size))
+        m_minus_x = mm - self.xset
+        return not any(_submodel_at(surv, self.xset, mm, m_minus_x, x1) for x1 in order)
+
+    def run(self, lo: int, hi: int):
+        """(t, M \\ B, verdict) for every assignment t in [lo, hi), in order."""
+        for t in range(lo, hi):
+            new = self.closure(t)
+            yield t, new, (FAILED_MODEL if not self.models(t, new) else
+                           FAILED_MINIMAL if not self.minimal(t, new) else ACCEPTED)
 
 
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     """All candidates in truth assignment order (mask bit i = i-th domain atom)."""
-    dom, compiled = _prepare(p, x)
-    if len(dom) > MATERIALIZE_GUARD:
-        raise ValueError(f"refusing to materialize 2^{len(dom)} candidates")
-    full = (1 << len(dom)) - 1
+    ev = _Evaluator(p, x)
+    if len(ev.dom) > MATERIALIZE_GUARD:
+        raise ValueError(f"refusing to materialize 2^{len(ev.dom)} candidates")
     out = []
-    for t in range(full + 1):
-        lm = _least_for_mask(compiled, full, t)
-        tau = TruthAssignment({a: (t >> i & 1) for i, a in enumerate(dom)})
-        out.append(Candidate(tau, lm, lm | _true_atoms(dom, t)))
+    for t, new, _ in ev.run(0, 1 << len(ev.dom)):
+        tau = TruthAssignment({a: t >> i & 1 for i, a in enumerate(ev.dom)})
+        combined = ev.base | new
+        out.append(Candidate(tau, combined.difference(ev.true_atoms(t)), combined))
     return tuple(out)
 
 
 def check_answer_set(p: Program, x, m) -> bool:
     """Is m an answer set of p?  Fixed-parameter in |x| for Horn backdoors x.
 
-    First checks that m models p, then hunts for a proper submodel of the GL
-    reduct by scanning subsets X1 of m n x in size-then-lexicographic order,
-    short-circuiting on the first counterexample.
+    m must model p, be the candidate of its own assignment over x, and be minimal.
     """
     return _check_minimal(p, x, m, None)
 
 
 def _check_minimal(p: Program, x, m, subset_order) -> bool:
-    xx = frozenset(x)
-    mm = frozenset(m)
-    for a in xx | mm:
-        if not (0 <= a < p.n_atoms):
-            raise ValueError(f"unknown atom id {a}")
+    """check_answer_set; a given subset_order forces the subset scan in that order."""
+    ev = _Evaluator(p, x)
+    mm = check_atoms(p, m, "interpretation")
     if not is_model(p, mm):
         return False
-    # non-tautological GL reduct survivors; their erased negative bodies and
-    # the dropped tautological rules are satisfied by every subset of mm
-    surv = [(r.head, r.pos_body) for r in p.rules
-            if not rule_flags(r).tautological and not r.neg_body & mm]
-    inter = sorted(mm & xx)
-    if len(inter) > SUBSET_GUARD:
-        raise ValueError(f"m n x too large to scan (> {SUBSET_GUARD} atoms)")
-    if subset_order is None:
-        subset_order = (frozenset(c) for size in range(len(inter) + 1)
-                        for c in combinations(inter, size))
-    m_minus_x = mm - xx
-    for x1 in subset_order:
-        if _submodel_at(surv, xx, mm, m_minus_x, x1):
-            return False
-    return True
+    if subset_order is not None:
+        return ev.scan(mm, subset_order)
+    t = sum(1 << i for i, a in enumerate(ev.dom) if a in mm)
+    new = ev.closure(t)
+    return ev.base | new == mm and ev.minimal(t, new)
 
 
 def _submodel_at(surv, xx, mm, m_minus_x, x1) -> bool:
     """Does the Horn propagation at X1 expose a proper submodel of the reduct?"""
-    definite = []
-    for h, bp in surv:
-        if h & x1:
-            continue
-        hh = h - xx
-        if len(hh) > 1:
-            raise ValueError(
-                "reduct head minus backdoor has 2 or more atoms: "
-                "x is not a strong Horn backdoor")
-        if hh:
-            definite.append((next(iter(hh)), bp - x1))
-    lm = propagate_definite(definite)
-    if not lm <= m_minus_x:
-        return False
+    # a strong Horn backdoor leaves at most one head atom outside xx
+    lm = propagate_definite([(a, bp - x1) for h, bp in surv if not h & x1 for a in h - xx])
     cand = lm | x1
-    if cand == mm:
-        return False
-    for h, bp in surv:
-        if not h & cand and not bp - cand:
-            return False
-    return True
+    return lm <= m_minus_x and cand != mm and all(h & cand or bp - cand for h, bp in surv)
 
 
-def _eval_range(p: Program, x, lo: int, hi: int) -> tuple[int, list[frozenset[int]]]:
-    dom, compiled = _prepare(p, x)
-    full = (1 << len(dom)) - 1
+def _tally(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[int]]]:
+    """Model failures, minimality failures and answer sets over [lo, hi)."""
+    failed = [0, 0, 0]
     accepted = []
-    for t in range(lo, hi):
-        combined = _least_for_mask(compiled, full, t) | _true_atoms(dom, t)
-        if check_answer_set(p, x, combined):
-            accepted.append(combined)
-    return hi - lo, accepted
+    for _, new, verdict in ev.run(lo, hi):
+        failed[verdict] += 1
+        if verdict == ACCEPTED:
+            accepted.append(ev.base | new)
+    return failed[FAILED_MODEL], failed[FAILED_MINIMAL], accepted
 
 
 def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
@@ -176,48 +230,49 @@ def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
     Candidates are never materialized as a whole; jobs > 1 forks workers over
     contiguous assignment ranges and aggregates in range order.
     """
-    xx = frozenset(x)
-    dom, _ = _prepare(p, xx)
-    total = 1 << len(dom)
+    ev = _Evaluator(p, x)
+    total = 1 << len(ev.dom)
     if jobs <= 1 or total < 256:
-        _, accepted = _eval_range(p, xx, 0, total)
+        parts = [_tally(ev, 0, total)]
     else:
         jobs = min(jobs, total)
         bounds = [total * i // (jobs * 4) for i in range(jobs * 4 + 1)]
-        ranges = [(p, xx, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        ranges = [(ev, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
-            parts = pool.starmap(_eval_range, ranges)
-        accepted = [s for _, chunk in parts for s in chunk]
-    out = frozenset(accepted)
-    return EvalReport(frozenset(dom), out, total, total - len(accepted))
+            parts = pool.starmap(_tally, ranges)
+    sets = frozenset(s for _, _, chunk in parts for s in chunk)
+    return EvalReport(frozenset(ev.dom), sets, total,
+                      sum(part[0] for part in parts), sum(part[1] for part in parts))
 
 
 REASON_MODES = ("consistency", "brave", "cautious", "count", "enumerate")
 
 
-def reason(p: Program, x, mode: str, atom: int | None = None, jobs: int = 1):
-    """Reasoning through a backdoor.
+def mode_result(sets, mode: str, atom: int | None = None):
+    """The answer of one reasoning mode over a collection of answer sets.
 
     consistency -> bool; count -> int; enumerate -> list of answer sets sorted
     by their sorted id-vectors; brave -> atom in some answer set; cautious ->
     atom in every answer set (vacuously true when there are none).
     """
-    if mode not in REASON_MODES:
-        raise ValueError(f"mode must be one of {REASON_MODES}")
-    if mode in ("brave", "cautious"):
-        if atom is None:
-            raise ValueError(f"mode {mode!r} needs an atom")
-        if not (0 <= atom < p.n_atoms):
-            raise ValueError(f"unknown atom id {atom}")
-    rep = answer_sets(p, x, jobs=jobs)
-    sets = rep.answer_sets
     if mode == "consistency":
         return bool(sets)
     if mode == "count":
         return len(sets)
     if mode == "enumerate":
-        return [frozenset(s) for s in sorted(sets, key=sorted)]
+        return sorted(sets, key=sorted)
     if mode == "brave":
         return any(atom in s for s in sets)
     return all(atom in s for s in sets)
+
+
+def reason(p: Program, x, mode: str, atom: int | None = None, jobs: int = 1):
+    """Reasoning through a backdoor; the result is as in mode_result."""
+    if mode not in REASON_MODES:
+        raise ValueError(f"mode must be one of {REASON_MODES}")
+    if mode in ("brave", "cautious"):
+        if atom is None:
+            raise ValueError(f"mode {mode!r} needs an atom")
+        check_atoms(p, (atom,), "query")
+    return mode_result(answer_sets(p, x, jobs=jobs).answer_sets, mode, atom)

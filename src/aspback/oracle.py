@@ -10,6 +10,7 @@ from itertools import combinations
 
 from .detect import verify_backdoor
 from .program import Program, TargetClass
+from .reducts import check_atoms
 
 BRUTE_ATOM_GUARD = 20
 BRUTE_BACKDOOR_GUARD = 16
@@ -72,11 +73,7 @@ def is_answer_set_direct(p: Program, m, max_atoms: int = BRUTE_ATOM_GUARD) -> bo
     n = p.n_atoms
     if n > max_atoms:
         raise ValueError(f"is_answer_set_direct guard: {n} atoms > {max_atoms}")
-    mm = frozenset(m)
-    for a in mm:
-        if not (0 <= a < n):
-            raise ValueError(f"unknown atom id {a} in interpretation")
-    mask = sum(1 << a for a in mm)
+    mask = sum(1 << a for a in check_atoms(p, m, "interpretation"))
     return _is_answer_mask(_rule_masks(p), mask, (1 << n) - 1)
 
 

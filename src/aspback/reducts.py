@@ -66,7 +66,7 @@ def assignments_over(atoms: Iterable[int]) -> Iterator[TruthAssignment]:
         yield TruthAssignment({a: (m >> j) & 1 for j, a in enumerate(order)})
 
 
-def _check_atoms(p: Program, atoms: Iterable[int], what: str) -> frozenset[int]:
+def check_atoms(p: Program, atoms: Iterable[int], what: str) -> frozenset[int]:
     out = frozenset(atoms)
     for a in out:
         if not (0 <= a < p.n_atoms):
@@ -80,7 +80,7 @@ def gl_reduct(p: Program, m: Iterable[int]) -> Program:
     Drops every rule whose negative body meets M, then erases the negative
     bodies of the survivors.  The result is negation-free.
     """
-    mm = _check_atoms(p, m, "interpretation")
+    mm = check_atoms(p, m, "interpretation")
     kept = []
     for r in p.rules:
         if r.neg_body & mm:

@@ -229,6 +229,17 @@ def test_stats_text_and_failures(capsys, tmp_path, ex1_file):
     assert "mean_fraction=0.333" in out  # 2 of 6 atoms
 
 
+def test_stats_undecodable_file_is_a_failure_row(capsys, tmp_path, ex1_file):
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(b"a :- \xff.\n")
+    code, payload, err = jrun(capsys, "stats", ex1_file, str(bad), ex1_file,
+                              "--format", "json")
+    assert code == 0
+    assert "skipping" in err
+    assert [r["file"] for r in payload["rows"]] == [ex1_file, ex1_file]
+    assert [f["file"] for f in payload["failures"]] == [str(bad)]
+
+
 def test_stats_json(capsys, ex1_file):
     code, payload, _ = jrun(capsys, "stats", ex1_file, ex1_file,
                             "--format", "json")

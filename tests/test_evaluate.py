@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from aspback import (EvalReport, answer_sets, brute_answer_sets, candidate_sets,
-                     check_answer_set, is_answer_set_direct, parse_program, reason)
-from aspback.evaluate import _check_minimal
+from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
+                     answer_sets, brute_answer_sets, candidate_sets,
+                     check_answer_set, find_backdoor, is_answer_set_direct,
+                     is_model, parse_program, reason)
+from aspback.evaluate import _check_minimal, _Evaluator
 from conftest import corpus, names_of
 
 
@@ -28,6 +30,7 @@ def test_answer_sets_worked_example(ex1, ex1_ids):
     assert isinstance(rep, EvalReport)
     assert {names_of(ex1, m) for m in rep.answer_sets} == {frozenset({"t"})}
     assert rep.candidates_total == 4 and rep.candidates_rejected == 3
+    assert (rep.failed_model, rep.failed_minimal) == (0, 3)
     assert names_of(ex1, rep.backdoor) == {"r", "s"}
 
 
@@ -149,3 +152,84 @@ def test_reason_enumerate_order():
     x = {p.atom_id("a"), p.atom_id("b")}
     sets = reason(p, x, "enumerate")
     assert [sorted(m) for m in sets] == [[0], [1, 2]]
+
+
+def _loops(k: int, gadget: str) -> str:
+    chain = ["c0."] + [f"c{i + 1} :- c{i}." for i in range(20)]
+    return "\n".join([gadget.format(i=i) for i in range(k)] + chain)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rejection_split_odd_loops(jobs):
+    # every assignment but the all-true one leaves some g_i :- not g_i false;
+    # the all-true one is a model whose reduct derives only the chain
+    k = 9
+    p = parse_program(_loops(k, "g{i} :- not g{i}."))
+    x = {p.atom_id(f"g{i}") for i in range(k)}
+    rep = answer_sets(p, x, jobs=jobs)
+    assert rep.answer_sets == frozenset()
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
+    assert rep.candidates_rejected == 2 ** k
+
+
+def test_rejection_split_even_loops():
+    k = 5
+    p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
+    x = {p.atom_id(f"a{i}") for i in range(k)}
+    rep = answer_sets(p, x)
+    assert len(rep.answer_sets) == 2 ** k
+    assert (rep.failed_model, rep.failed_minimal) == (0, 0)
+
+
+def _mixed_program(rng: random.Random, n: int):
+    """Random rules with disjunctive heads, constraints and tautologies."""
+    b = ProgramBuilder()
+    atoms = [f"a{i}" for i in range(n)]
+    for _ in range(rng.randint(1, 3 * n)):
+        head = rng.sample(atoms, min(n, rng.choice((0, 1, 1, 1, 2, 2, 3))))
+        pos = rng.sample(atoms, rng.randint(0, min(2, n)))
+        neg = rng.sample(atoms, rng.randint(0, min(2, n)))
+        if head and rng.random() < 0.1:
+            pos.append(head[0])
+        b.add_rule(head, pos, neg)
+    return b.build()
+
+
+def test_matches_brute_on_disjunctive_corpus(monkeypatch):
+    # random_program output is always normal; this corpus reaches the subset
+    # scan, which only reducts with two or more head atoms still need
+    scans = []
+    scan = _Evaluator.scan
+    monkeypatch.setattr(_Evaluator, "scan",
+                        lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
+    rng = random.Random(2013)
+    for _ in range(300):
+        p = _mixed_program(rng, rng.randint(1, 10))
+        x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
+        rep = answer_sets(p, x)
+        assert rep.answer_sets == frozenset(brute_answer_sets(p))
+        non_models = 0
+        for c in candidate_sets(p, x):
+            assert check_answer_set(p, x, c.combined) == is_answer_set_direct(p, c.combined)
+            non_models += not is_model(p, c.combined)
+        assert rep.failed_model == non_models
+    assert len(scans) > 500
+
+
+def test_one_propagation_matches_subset_scan(monkeypatch):
+    scans = []
+    scan = _Evaluator.scan
+    monkeypatch.setattr(_Evaluator, "scan",
+                        lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
+    checked = 0
+    for p in corpus(60, seed=31, n_atoms=9, density=2.0):
+        x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
+        ev = _Evaluator(p, x)
+        for c in candidate_sets(p, x):
+            if is_model(p, c.combined):
+                fast = check_answer_set(p, x, c.combined)
+                assert not scans
+                assert fast == ev.scan(c.combined, None)
+                scans.clear()
+                checked += 1
+    assert checked > 50
