@@ -92,14 +92,16 @@ def _cmd_classify(args) -> int:
     p = _load(args.file)
     rows = []
     for c in TargetClass:
-        member = in_target_class(p, c)
         why = ""
-        if not member and c in ACYCLIC_CLASSES:
+        if c in ACYCLIC_CLASSES:
+            # the head atoms of a non-normal rule form a bad two-cycle, so
+            # the one witness decides membership
             w = witness_cycle(p, c)
+            member = w is None
             if w is not None:
                 why = f"{'bad ' if w.bad else ''}{w.kind} cycle {describe_witness(p, w)}"
-            else:
-                why = "non-normal rule"
+        else:
+            member = in_target_class(p, c)
         rows.append((c.value, member, why))
     if args.format == "json":
         _emit_json({"classes": {name: {"member": member, "reason": why}

@@ -4,7 +4,11 @@ Detection for the Horn target reduces to minimum vertex cover of the conflict
 graph (two atoms clash when a non-tautological rule puts both in the head, or
 one in the head and one in the negative body).  Detection for the acyclicity
 targets deletes atoms: branch on head atoms of normality-violating rules and
-on atom vertices of forbidden cycles.  All searches are exact and return the
+on atom vertices of forbidden cycles.  The deletion search compiles the
+program once into rule bitmasks; a search node is one deletion mask, and
+costs one pass over the rule masks plus a linear component pass over the
+dependency graph, with breadth-first search only inside a component and no
+deeper than the best witness so far.  All searches are exact and return the
 minimum witness whose sorted id-vector is lexicographically smallest.
 """
 
@@ -13,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .depgraph import witness_cycle
-from .program import (ACYCLIC_CLASSES, Program, TargetClass, core,
-                      in_target_class, rule_flags)
+from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
+                      atoms_of, in_target_class, rule_flags, violation)
 from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
+# not called here, but perfbench/tracer.py wraps detect.core and
+# detect.witness_cycle by these names
+from .depgraph import witness_cycle  # noqa: F401
+from .program import core  # noqa: F401
 
 STRONG_ENUM_GUARD = 30
 STRONG_ACYCLIC_K_GUARD = 12
@@ -298,69 +305,68 @@ class BackdoorResult:
     nodes_explored: int
 
 
-def _violation_atoms(pp: Program, target: TargetClass) -> frozenset[int] | None:
-    """Atoms to branch on for the first class violation of pp, or None.
+def _packing_prunes(cp: CompiledProgram, target: TargetClass, x: int,
+                    viol: int, budget: int) -> bool:
+    """Does a greedy packing of atom-disjoint violations, starting from viol
+    (the first violation under x), need more than budget deletions in all?
 
-    Deleting a positive body atom never removes a violation (rules never
-    become tautological by deletion), so heads and negative bodies suffice.
+    Each packed violation needs its own deletion.  Counting stops as soon as
+    the budget is exceeded, and is skipped when the atoms left could not
+    exceed it: every violation has an atom outside the deletions so far.
     """
-    q = core(pp)
-    if target is TargetClass.HORN:
-        for r in q.rules:
-            if len(r.head) >= 2 or r.neg_body:
-                return frozenset(r.head | r.neg_body)
-        return None
-    for r in q.rules:
-        if len(r.head) >= 2:
-            return frozenset(r.head)
-    w = witness_cycle(pp, target)
-    if w is None:
-        return None
-    return frozenset(v for v in w.vertices if v < pp.n_atoms)
-
-
-def _packing_lb(pp: Program, target: TargetClass) -> int:
-    """Greedy vertex-disjoint violation packing: each needs its own deletion."""
+    size = x.bit_count()
+    if size + (cp.occurring & ~x).bit_count() <= budget:
+        return False
     count = 0
-    q = pp
-    while True:
-        viol = _violation_atoms(q, target)
-        if viol is None:
-            return count
+    while viol:
         count += 1
-        q = delete_atoms(q, viol)
+        if size + count > budget:
+            return True
+        x |= viol
+        viol = violation(cp, target, x)
+    return False
 
 
 def _deletion_search(p: Program, target: TargetClass,
                      k: int | None) -> tuple[frozenset[int] | None, int]:
-    occ = p.occurring_atoms()
-    limit = len(occ) if k is None else min(k, len(occ))
+    cp = CompiledProgram(p)
+    n_occ = cp.occurring.bit_count()
+    limit = n_occ if k is None else min(k, n_occ)
     best: tuple[int, tuple[int, ...]] | None = None
-    seen: set[frozenset[int]] = set()
+    seen: set[int] = set()
     nodes = 0
 
-    def rec(x: frozenset[int]) -> None:
+    def visit(x: int) -> int:
+        """Count node x; return the atoms to branch on (0 for a leaf)."""
         nonlocal best, nodes
         if x in seen:
-            return
+            return 0
         seen.add(x)
         nodes += 1
-        budget_eff = limit if best is None else min(limit, best[0])
-        if len(x) > budget_eff:
-            return
-        pp = delete_atoms(p, x)
-        viol = _violation_atoms(pp, target)
-        if viol is None:
-            cand = (len(x), tuple(sorted(x)))
+        budget = limit if best is None else min(limit, best[0])
+        size = x.bit_count()
+        if size > budget:
+            return 0
+        viol = violation(cp, target, x)
+        if not viol:
+            cand = (size, tuple(atoms_of(x)))
             if best is None or cand < best:
                 best = cand
-            return
-        if len(x) + _packing_lb(pp, target) > budget_eff:
-            return
-        for a in sorted(viol):
-            rec(x | {a})
+            return 0
+        if _packing_prunes(cp, target, x, viol, budget):
+            return 0
+        return viol
 
-    rec(frozenset())
+    # depth first, smallest branch atom first: (x, branch atoms not yet tried)
+    stack = [(0, visit(0))]
+    while stack:
+        x, rest = stack[-1]
+        if not rest:
+            stack.pop()
+            continue
+        a = rest & -rest
+        stack[-1] = (x, rest ^ a)
+        stack.append((x | a, visit(x | a)))
     return (frozenset(best[1]) if best is not None else None), nodes
 
 

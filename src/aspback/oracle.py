@@ -9,28 +9,16 @@ from __future__ import annotations
 from itertools import combinations
 
 from .detect import verify_backdoor
-from .program import Program, TargetClass
+from .program import (CompiledProgram, Program, TargetClass, atom_mask,
+                      atoms_of)
 from .reducts import check_atoms
 
 BRUTE_ATOM_GUARD = 20
 BRUTE_BACKDOOR_GUARD = 16
 
 
-def _rule_masks(p: Program) -> list[tuple[int, int, int]]:
-    out = []
-    for r in p.rules:
-        h = sum(1 << a for a in r.head)
-        bp = sum(1 << a for a in r.pos_body)
-        bn = sum(1 << a for a in r.neg_body)
-        out.append((h, bp, bn))
-    return out
-
-
-def _mask_to_set(m: int, n: int) -> frozenset[int]:
-    return frozenset(a for a in range(n) if m >> a & 1)
-
-
-def _is_answer_mask(masks: list[tuple[int, int, int]], m: int, full: int) -> bool:
+def _is_answer_mask(masks: tuple[tuple[int, int, int], ...], m: int,
+                    full: int) -> bool:
     notm = full ^ m
     surv = []
     for h, bp, bn in masks:
@@ -59,12 +47,12 @@ def brute_answer_sets(p: Program, max_atoms: int = BRUTE_ATOM_GUARD) -> set[froz
     n = p.n_atoms
     if n > max_atoms:
         raise ValueError(f"brute_answer_sets guard: {n} atoms > {max_atoms}")
-    masks = _rule_masks(p)
+    masks = CompiledProgram(p).rules
     full = (1 << n) - 1
     out: set[frozenset[int]] = set()
     for m in range(1 << n):
         if _is_answer_mask(masks, m, full):
-            out.add(_mask_to_set(m, n))
+            out.add(frozenset(atoms_of(m)))
     return out
 
 
@@ -73,8 +61,8 @@ def is_answer_set_direct(p: Program, m, max_atoms: int = BRUTE_ATOM_GUARD) -> bo
     n = p.n_atoms
     if n > max_atoms:
         raise ValueError(f"is_answer_set_direct guard: {n} atoms > {max_atoms}")
-    mask = sum(1 << a for a in check_atoms(p, m, "interpretation"))
-    return _is_answer_mask(_rule_masks(p), mask, (1 << n) - 1)
+    mask = atom_mask(check_atoms(p, m, "interpretation"))
+    return _is_answer_mask(CompiledProgram(p).rules, mask, (1 << n) - 1)
 
 
 def brute_min_backdoor(p: Program, target: TargetClass, kind: str,

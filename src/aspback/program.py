@@ -326,14 +326,88 @@ def core(p: Program) -> Program:
     return p.with_rules(kept)
 
 
+def atom_mask(atoms: Iterable[int]) -> int:
+    """Distinct atom ids as an int bitmask: bit a stands for atom id a."""
+    return sum(1 << a for a in atoms)
+
+
+def atoms_of(mask: int) -> list[int]:
+    """Atom ids of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class CompiledProgram:
+    """A program's rules as (head, pos, neg) bitmasks, for deleting by masking.
+
+    A set of deleted atoms is one mask x, and core(x) is the core of the
+    program with x deleted, computed from the masks without building a
+    Program.  Build one per search or membership test; Program itself never
+    compiles.  ``edges`` caches the dependency edges of each rule mask
+    triple that depgraph has built a graph from.
+    """
+
+    __slots__ = ("n_atoms", "occurring", "rules", "edges")
+
+    def __init__(self, p: Program):
+        self.n_atoms = p.n_atoms
+        self.rules = tuple((atom_mask(r.head), atom_mask(r.pos_body),
+                            atom_mask(r.neg_body)) for r in p.rules)
+        self.occurring = atom_mask(p.occurring_atoms())
+        self.edges: dict[tuple[int, int, int], tuple] = {}
+
+    def core(self, x: int = 0) -> list[tuple[int, int, int]]:
+        """Masks of the rules of core(delete_atoms(p, x)), in rule order.
+
+        Tautology is tested after masking: deleting an atom that a rule has
+        both in its positive body and in its head or negative body wakes the
+        rule up, and deleting all of a head makes the rule a constraint.
+        """
+        keep = ~x
+        out = []
+        for h, pos, neg in self.rules:
+            h &= keep
+            if h:
+                pos &= keep
+                neg &= keep
+                if not pos & (h | neg):
+                    out.append((h, pos, neg))
+        return out
+
+
+def violation(cp: CompiledProgram, c: TargetClass, x: int = 0) -> int:
+    """Atoms (a mask) of the first violation of class c by the core of the
+    compiled program with the atoms of x deleted; 0 when that core is in c.
+
+    Horn: the head and negative body of the first non-Horn rule.  Acyclicity
+    classes: the head of the first non-normal rule, else the atom vertices of
+    the forbidden cycle that depgraph.core_witness finds.  Every violation
+    has an atom outside x.  Deleting a positive body atom never makes a rule
+    Horn (rules never become tautological by deletion), so the Horn
+    violation leaves out positive bodies.
+    """
+    rules = cp.core(x)
+    if c is TargetClass.HORN:
+        for h, _, neg in rules:
+            if h & (h - 1) or neg:
+                return h | neg
+        return 0
+    if c not in ACYCLIC_CLASSES:
+        raise ValueError(f"unknown target class {c!r}")
+    for h, _, _ in rules:
+        if h & (h - 1):
+            return h
+    from .depgraph import core_witness
+    w = core_witness(cp, rules, c)
+    if w is None:
+        return 0
+    return atom_mask(v for v in w.vertices if v < cp.n_atoms)
+
+
 def in_target_class(p: Program, c: TargetClass) -> bool:
     """Membership of p in class c (always modulo tautologies/constraints)."""
-    q = core(p)
-    if c is TargetClass.HORN:
-        return all(rule_flags(r).horn for r in q.rules)
-    if c in ACYCLIC_CLASSES:
-        if any(len(r.head) != 1 for r in q.rules):
-            return False
-        from .depgraph import witness_cycle
-        return witness_cycle(p, c) is None
-    raise ValueError(f"unknown target class {c!r}")
+    return violation(CompiledProgram(p), c) == 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aspback import __version__
 from aspback.cli import main
 from conftest import EX1_TEXT
 
@@ -70,6 +71,29 @@ def test_classify_json_member(capsys, tmp_path):
     assert payload["classes"]["horn"] == {"member": True, "reason": ""}
 
 
+DISJ_TEXT = "a | b :- c.  c :- d.  d :- c.  e :- not c.  x | y :- x, not z.\n"
+
+
+@pytest.mark.parametrize("text,undirected,directed", [
+    (EX1_TEXT, "bad undirected cycle (w, r, v_(w,r))", "bad directed cycle (w, r)"),
+    (DISJ_TEXT, "bad undirected cycle (a, c, b, v_(a,b))", "bad directed cycle (a, b)"),
+])
+def test_classify_output_pinned(capsys, tmp_path, text, undirected, directed):
+    f = tmp_path / "p.lp"
+    f.write_text(text)
+    reasons = {"horn": "", "c-acyc": undirected, "bc-acyc": undirected,
+               "dc-acyc": directed, "dc2-acyc": directed, "strat": directed}
+    code, out, _ = run(capsys, "classify", str(f))
+    assert code == 0
+    assert out == "".join(f"{c}: no" + (f" ({why})" if why else "") + "\n"
+                          for c, why in reasons.items())
+    code, out, _ = run(capsys, "classify", str(f), "--format", "json")
+    want = {"classes": {c: {"member": False, "reason": why}
+                        for c, why in reasons.items()},
+            "version": __version__}
+    assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_graph_kinds(capsys, ex1_file):
     for which, needle in (("ddg", "digraph"), ("udg", "v_(w,r)"), ("incidence", '"r0"')):
         code, out, _ = run(capsys, "graph", ex1_file, "--which", which)
@@ -98,6 +122,17 @@ def test_backdoor_bound_exit(capsys, ex1_file):
     code2, payload, _ = jrun(capsys, "backdoor", ex1_file, "--k", "1",
                              "--format", "json")
     assert code2 == 3 and payload["witness"] is None
+
+
+def test_backdoor_deletion_packing_bound_exit(capsys, tmp_path):
+    # 1200 disjoint negative self-loops: the greedy packing passes k=3 after
+    # four violations, so the root is pruned without packing all 1200
+    f = tmp_path / "loops.lp"
+    f.write_text("".join(f"a{i} :- not a{i}.\n" for i in range(1200)))
+    code, payload, _ = jrun(capsys, "backdoor", str(f), "--target", "c-acyc",
+                            "--kind", "deletion", "--k", "3", "--format", "json")
+    assert code == 3
+    assert payload["witness"] is None and payload["nodes_explored"] == 1
 
 
 def test_solve_enumerate_default(capsys, ex1_file):
