@@ -9,11 +9,11 @@ from .depgraph import (CycleWitness, DependencyDigraph, IncidenceGraph,
                        find_directed_cycle, find_undirected_cycle,
                        incidence_graph, witness_cycle)
 from .evaluate import (Candidate, EvalReport, answer_sets, candidate_sets,
-                       check_answer_set, reason)
+                       check_answer_set, horn_star_answer_sets, mode_result)
 from .generate import (GenConfig, HittingSetInstance, child_seed,
                        disjoint_copies, from_hitting_set, parse_hitting_set,
                        random_program)
-from .horn import horn_star_answer_sets, is_model, least_model
+from .horn import is_model, least_model
 from .oracle import (brute_answer_sets, brute_min_backdoor,
                      is_answer_set_direct)
 from .program import (ACYCLIC_CLASSES, ParseError, Program, ProgramBuilder,
@@ -38,7 +38,7 @@ __all__ = [
     "find_undirected_cycle", "from_hitting_set", "gl_reduct",
     "horn_conflict_graph", "horn_star_answer_sets", "in_target_class",
     "incidence_graph", "is_answer_set_direct", "is_model", "least_model",
-    "parse_hitting_set", "parse_program", "random_program", "reason",
+    "mode_result", "parse_hitting_set", "parse_program", "random_program",
     "render_program", "render_rule", "rule_flags", "ta_reduct",
     "verify_backdoor", "vertex_cover_min", "witness_cycle",
     "__version__",

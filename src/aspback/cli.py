@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .detect import BackdoorQuery, find_backdoor, verify_backdoor
+from .detect import BackdoorQuery, find_backdoor
 from .depgraph import (describe_witness, dot_ddg, dot_incidence, dot_udg,
                        witness_cycle)
 from .evaluate import REASON_MODES, answer_sets, mode_result
@@ -27,6 +27,8 @@ from .generate import (GenConfig, HITTING_VARIANTS, child_seed,
 from .oracle import brute_answer_sets
 from .program import (ACYCLIC_CLASSES, ParseError, Program, TargetClass,
                       in_target_class, parse_program, render_program)
+# not called here, but perfbench/tracer.py wraps cli.verify_backdoor by this name
+from .detect import verify_backdoor  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -128,53 +130,30 @@ def _cmd_graph(args) -> int:
 
 def _cmd_backdoor(args) -> int:
     p = _load(args.file)
-    target = TARGETS[args.target]
-    query = BackdoorQuery(target, args.kind, k=args.k, minimize=args.k is None)
+    query = BackdoorQuery(TARGETS[args.target], args.kind, k=args.k)
     t0 = time.perf_counter()
     res = find_backdoor(p, query)
     ms = (time.perf_counter() - t0) * 1000.0
-    if res.witness is None:
-        if args.format == "json":
-            _emit_json({"target": args.target, "kind": args.kind, "k": args.k,
-                        "witness": None, "nodes_explored": res.nodes_explored,
-                        "wall_ms": ms})
-        else:
-            print(f"no {args.kind} {args.target} backdoor within k={args.k}",
-                  file=sys.stderr)
-        return EXIT_NO_BACKDOOR
     if args.format == "json":
-        _emit_json({"target": args.target, "kind": args.kind, "k": args.k,
-                    "witness": _names(p, res.witness), "size": len(res.witness),
-                    "optimal": res.optimal, "nodes_explored": res.nodes_explored,
-                    "wall_ms": ms})
+        payload = {"target": args.target, "kind": args.kind, "k": args.k,
+                   "witness": None, "nodes_explored": res.nodes_explored,
+                   "wall_ms": ms}
+        if res.witness is not None:
+            payload.update(witness=_names(p, res.witness),
+                           size=len(res.witness), optimal=res.optimal)
+        _emit_json(payload)
+    elif res.witness is None:
+        print(f"no {args.kind} {args.target} backdoor within k={args.k}",
+              file=sys.stderr)
     else:
         print(_set_text(p, res.witness))
-    return EXIT_OK
+    return EXIT_NO_BACKDOOR if res.witness is None else EXIT_OK
 
 
-def _resolve_backdoor(p: Program, args) -> frozenset[int]:
-    if args.backdoor is not None:
-        ids = []
-        for name in args.backdoor.split():
-            if not p.has_atom(name):
-                raise ValueError(f"backdoor atom {name!r} does not occur in the program")
-            ids.append(p.atom_id(name))
-        x = frozenset(ids)
-        if not verify_backdoor(p, x, TargetClass.HORN, "strong"):
-            raise ValueError("given atoms are not a strong horn backdoor")
-        return x
-    query = BackdoorQuery(TargetClass.HORN, "strong", k=args.max_k,
-                          minimize=args.max_k is None)
-    res = find_backdoor(p, query)
-    if res.witness is None:
-        raise _NoBackdoor(args.max_k)
-    return res.witness
-
-
-class _NoBackdoor(Exception):
-    def __init__(self, k):
-        super().__init__(f"no strong horn backdoor within k={k}")
-        self.k = k
+def _atom(p: Program, name: str, what: str) -> int:
+    if not p.has_atom(name):
+        raise ValueError(f"{what} {name!r} does not occur in the program")
+    return p.atom_id(name)
 
 
 def _cmd_solve(args) -> int:
@@ -183,9 +162,7 @@ def _cmd_solve(args) -> int:
     if args.mode in ("brave", "cautious"):
         if args.atom is None:
             raise ValueError(f"--mode {args.mode} needs --atom")
-        if not p.has_atom(args.atom):
-            raise ValueError(f"atom {args.atom!r} does not occur in the program")
-        atom = p.atom_id(args.atom)
+        atom = _atom(p, args.atom, "atom")
 
     t0 = time.perf_counter()
     if args.engine == "brute":
@@ -193,11 +170,16 @@ def _cmd_solve(args) -> int:
         backdoor: frozenset[int] = frozenset()
         total = rejected = None
     else:
-        try:
-            x = _resolve_backdoor(p, args)
-        except _NoBackdoor as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_NO_BACKDOOR
+        if args.backdoor is not None:
+            # answer_sets rejects atoms that are not a strong Horn backdoor
+            x = [_atom(p, name, "backdoor atom") for name in args.backdoor.split()]
+        else:
+            query = BackdoorQuery(TargetClass.HORN, "strong", k=args.max_k)
+            x = find_backdoor(p, query).witness
+            if x is None:
+                print(f"no strong horn backdoor within k={args.max_k}",
+                      file=sys.stderr)
+                return EXIT_NO_BACKDOOR
         rep = answer_sets(p, x, jobs=args.jobs)
         sets, backdoor = rep.answer_sets, rep.backdoor
         total, rejected = rep.candidates_total, rep.candidates_rejected

@@ -88,9 +88,6 @@ class UndirectedDepGraph:
     def n_vertices(self) -> int:
         return self.n_atoms + len(self.neg_edges)
 
-    def is_negative_vertex(self, v: int) -> bool:
-        return v >= self.n_atoms
-
     def vertex_label(self, v: int, p: Program) -> str:
         if v < self.n_atoms:
             return p.atom_name(v)

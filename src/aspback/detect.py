@@ -287,13 +287,10 @@ class BackdoorQuery:
     target: TargetClass
     kind: str = "strong"
     k: int | None = None
-    minimize: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.k is None and not self.minimize:
-            object.__setattr__(self, "minimize", True)
         if self.k is not None and self.k < 0:
             raise ValueError("k must be nonnegative")
 
@@ -393,13 +390,12 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
     target): violation-hitting branch and bound.  Strong acyclicity targets:
     bounded exhaustive search (desk scale).
     """
-    k = None if query.minimize and query.k is None else query.k
     if query.target is TargetClass.HORN and query.kind == "strong":
-        witness, nodes = _vc_min(horn_conflict_graph(p), k)
+        witness, nodes = _vc_min(horn_conflict_graph(p), query.k)
     elif query.kind == "deletion":
-        witness, nodes = _deletion_search(p, query.target, k)
+        witness, nodes = _deletion_search(p, query.target, query.k)
     elif query.target in ACYCLIC_CLASSES:
-        witness, nodes = _strong_acyclic_search(p, query.target, k)
+        witness, nodes = _strong_acyclic_search(p, query.target, query.k)
     else:
         raise ValueError(f"unknown target class {query.target!r}")
     return BackdoorResult(witness, witness is not None, nodes)

@@ -8,6 +8,7 @@ B.  Only rules with their head inside x (constraints too) can fail the model tes
 If no surviving rule of the GL reduct P^M keeps two head atoms (true of every normal
 program), M is minimal iff it is the least model of P^M's definite part, one more
 propagation; otherwise subsets of M n x are scanned, one Horn propagation each.
+A Horn* program is the case x = {}: its one candidate is the least model of its core.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import multiprocessing
 from dataclasses import dataclass
 from itertools import combinations
 
-from .horn import is_model, propagate_definite
+from .horn import propagate_definite
 from .program import Program, rule_flags
 from .reducts import TruthAssignment, check_atoms
+# not called here, but perfbench/tracer.py wraps evaluate.is_model by this name
+from .horn import is_model  # noqa: F401
 
 ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20
@@ -80,8 +83,8 @@ class _Evaluator:
                 if len(r.head) != 1:
                     continue
             elif len(r.head - self.xset) != 1 or r.neg_body - self.xset:
-                raise ValueError("some truth assignment reduct is not Horn*: "
-                                 "x is not a strong Horn backdoor")
+                raise ValueError("the atoms are not a strong horn backdoor: "
+                                 "some truth assignment reduct is not Horn*")
             else:
                 (self.gated if hm | nm else free).append((i, hm, nm))
             for a in r.pos_body:
@@ -187,22 +190,13 @@ def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
 def check_answer_set(p: Program, x, m) -> bool:
     """Is m an answer set of p?  Fixed-parameter in |x| for Horn backdoors x.
 
-    m must model p, be the candidate of its own assignment over x, and be minimal.
+    m must be the candidate of its own assignment over x, model p and be minimal.
     """
-    return _check_minimal(p, x, m, None)
-
-
-def _check_minimal(p: Program, x, m, subset_order) -> bool:
-    """check_answer_set; a given subset_order forces the subset scan in that order."""
     ev = _Evaluator(p, x)
     mm = check_atoms(p, m, "interpretation")
-    if not is_model(p, mm):
-        return False
-    if subset_order is not None:
-        return ev.scan(mm, subset_order)
     t = sum(1 << i for i, a in enumerate(ev.dom) if a in mm)
     new = ev.closure(t)
-    return ev.base | new == mm and ev.minimal(t, new)
+    return ev.base | new == mm and ev.models(t, new) and ev.minimal(t, new)
 
 
 def _submodel_at(surv, xx, mm, m_minus_x, x1) -> bool:
@@ -246,6 +240,14 @@ def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
                       sum(part[0] for part in parts), sum(part[1] for part in parts))
 
 
+def horn_star_answer_sets(p: Program) -> set[frozenset[int]]:
+    """Answer sets of a Horn* program: evaluation through the empty backdoor.
+
+    At most one exists; raises ValueError when p is not Horn*.
+    """
+    return set(answer_sets(p, ()).answer_sets)
+
+
 REASON_MODES = ("consistency", "brave", "cautious", "count", "enumerate")
 
 
@@ -256,23 +258,16 @@ def mode_result(sets, mode: str, atom: int | None = None):
     by their sorted id-vectors; brave -> atom in some answer set; cautious ->
     atom in every answer set (vacuously true when there are none).
     """
+    if mode not in REASON_MODES:
+        raise ValueError(f"mode must be one of {REASON_MODES}")
     if mode == "consistency":
         return bool(sets)
     if mode == "count":
         return len(sets)
     if mode == "enumerate":
         return sorted(sets, key=sorted)
+    if atom is None:
+        raise ValueError(f"mode {mode!r} needs an atom")
     if mode == "brave":
         return any(atom in s for s in sets)
     return all(atom in s for s in sets)
-
-
-def reason(p: Program, x, mode: str, atom: int | None = None, jobs: int = 1):
-    """Reasoning through a backdoor; the result is as in mode_result."""
-    if mode not in REASON_MODES:
-        raise ValueError(f"mode must be one of {REASON_MODES}")
-    if mode in ("brave", "cautious"):
-        if atom is None:
-            raise ValueError(f"mode {mode!r} needs an atom")
-        check_atoms(p, (atom,), "query")
-    return mode_result(answer_sets(p, x, jobs=jobs).answer_sets, mode, atom)

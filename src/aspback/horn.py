@@ -1,12 +1,11 @@
-"""Horn engine: model checking, least models, Horn* answer sets."""
+"""Horn engine: model checking and least models."""
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable
 
-from .program import Program, TargetClass, core, in_target_class
-from .reducts import gl_reduct
+from .program import Program
 
 
 def is_model(p: Program, m: Iterable[int]) -> bool:
@@ -68,19 +67,3 @@ def least_model(p: Program) -> tuple[frozenset[int], bool]:
     lm = propagate_definite(definite)
     sat = all(body - lm for body in constraints)
     return lm, sat
-
-
-def horn_star_answer_sets(p: Program) -> set[frozenset[int]]:
-    """Answer sets of a Horn* program (at most one exists).
-
-    The only candidate is the least model L of core(p) (all of whose rules
-    are definite); L is an answer set iff it models the GL reduct of the full
-    program, which covers tautological rules and constraints.
-    """
-    if not in_target_class(p, TargetClass.HORN):
-        raise ValueError("program is not Horn*")
-    q = core(p)
-    lm, _ = least_model(q)
-    if is_model(gl_reduct(p, lm), lm):
-        return {lm}
-    return set()

@@ -174,6 +174,47 @@ def test_solve_given_backdoor(capsys, ex1_file):
     assert code2 == 2 and "not a strong horn backdoor" in err
 
 
+def test_solve_given_backdoor_rejected_without_reducts(capsys, tmp_path, monkeypatch):
+    # only a23 true keeps "c | d." in the reduct; checking assignments one by
+    # one would build 2^23 reducts before meeting one
+    import aspback.detect
+    import aspback.reducts
+    built = []
+    for mod in (aspback.detect, aspback.reducts):
+        monkeypatch.setattr(mod, "ta_reduct", lambda *a: built.append(a))
+    f = tmp_path / "wide.lp"
+    f.write_text("".join(f"b :- a{i}.\n" for i in range(24)) + "c | d :- a23.\n")
+    given = " ".join(f"a{i}" for i in range(24))
+    code, out, err = run(capsys, "solve", str(f), "--backdoor", given)
+    assert code == 2 and out == "" and "not a strong horn backdoor" in err
+    assert built == []
+
+
+def test_solve_given_backdoor_json(capsys, ex1_file):
+    import re
+    _, out, _ = run(capsys, "solve", ex1_file, "--backdoor", "r s", "--format", "json")
+    assert re.sub(r'"wall_ms": [0-9.e-]+', '"wall_ms": 0', out) == """{
+  "answer_set_count": 1,
+  "atom": null,
+  "backdoor": [
+    "r",
+    "s"
+  ],
+  "candidates_rejected": 3,
+  "candidates_total": 4,
+  "engine": "backdoor",
+  "mode": "enumerate",
+  "result": [
+    [
+      "t"
+    ]
+  ],
+  "version": "%s",
+  "wall_ms": 0
+}
+""" % __version__
+
+
 def test_solve_max_k_exit(capsys, ex1_file):
     code, _, err = run(capsys, "solve", ex1_file, "--max-k", "1")
     assert code == 3 and "within k=1" in err

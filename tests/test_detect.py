@@ -99,7 +99,7 @@ def test_verify_backdoor_validation(ex1):
 
 def test_query_validation():
     q = BackdoorQuery(TargetClass.HORN)
-    assert q.minimize and q.k is None
+    assert q.k is None
     with pytest.raises(ValueError):
         BackdoorQuery(TargetClass.HORN, kind="weak")
     with pytest.raises(ValueError):

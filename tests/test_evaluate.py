@@ -4,9 +4,10 @@ import pytest
 
 from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
                      answer_sets, brute_answer_sets, candidate_sets,
-                     check_answer_set, find_backdoor, is_answer_set_direct,
-                     is_model, parse_program, reason)
-from aspback.evaluate import _check_minimal, _Evaluator
+                     check_answer_set, find_backdoor, horn_star_answer_sets,
+                     in_target_class, is_answer_set_direct, is_model,
+                     mode_result, parse_program)
+from aspback.evaluate import _Evaluator
 from conftest import corpus, names_of
 
 
@@ -101,6 +102,7 @@ def test_minimality_scan_order_free(ex1, ex1_ids):
     # the subset scan may visit X1 candidates in any order
     from itertools import combinations
     x = {ex1_ids["r"], ex1_ids["s"]}
+    ev = _Evaluator(ex1, x)
     rng = random.Random(4)
     for m in ({ex1_ids["t"]}, {ex1_ids["t"], ex1_ids["s"]}, {ex1_ids["r"], ex1_ids["s"]}):
         want = check_answer_set(ex1, x, m)
@@ -108,7 +110,7 @@ def test_minimality_scan_order_free(ex1, ex1_ids):
         subsets = [frozenset(c) for size in range(len(inter) + 1)
                    for c in combinations(inter, size)]
         rng.shuffle(subsets)
-        assert _check_minimal(ex1, x, m, subsets) == want
+        assert (is_model(ex1, m) and ev.scan(frozenset(m), subsets)) == want
 
 
 def test_materialize_guard():
@@ -119,38 +121,45 @@ def test_materialize_guard():
         candidate_sets(p, x)
 
 
+def _modes(p, x, mode, atom=None):
+    return mode_result(answer_sets(p, x).answer_sets, mode, atom)
+
+
 def test_reason_modes(ex1, ex1_ids):
     x = {ex1_ids["r"], ex1_ids["s"]}
-    assert reason(ex1, x, "consistency") is True
-    assert reason(ex1, x, "count") == 1
-    assert reason(ex1, x, "brave", atom=ex1_ids["t"]) is True
-    assert reason(ex1, x, "brave", atom=ex1_ids["r"]) is False
-    assert reason(ex1, x, "cautious", atom=ex1_ids["t"]) is True
-    sets = reason(ex1, x, "enumerate")
+    assert _modes(ex1, x, "consistency") is True
+    assert _modes(ex1, x, "count") == 1
+    assert _modes(ex1, x, "brave", atom=ex1_ids["t"]) is True
+    assert _modes(ex1, x, "brave", atom=ex1_ids["r"]) is False
+    assert _modes(ex1, x, "cautious", atom=ex1_ids["t"]) is True
+    sets = _modes(ex1, x, "enumerate")
     assert [names_of(ex1, m) for m in sets] == [{"t"}]
 
 
 def test_reason_cautious_vacuous():
     p = parse_program("a :- not a.")
     x = {p.atom_id("a")}
-    assert reason(p, x, "consistency") is False
-    assert reason(p, x, "count") == 0
-    assert reason(p, x, "cautious", atom=0) is True
-    assert reason(p, x, "brave", atom=0) is False
+    assert _modes(p, x, "consistency") is False
+    assert _modes(p, x, "count") == 0
+    assert _modes(p, x, "cautious", atom=0) is True
+    assert _modes(p, x, "brave", atom=0) is False
 
 
-def test_reason_validation(ex1, ex1_ids):
-    x = {ex1_ids["r"], ex1_ids["s"]}
-    with pytest.raises(ValueError):
-        reason(ex1, x, "guess")
-    with pytest.raises(ValueError):
-        reason(ex1, x, "brave")  # needs an atom
+def test_reason_validation():
+    sets = {frozenset({0})}
+    with pytest.raises(ValueError, match="mode must be one of"):
+        mode_result(sets, "guess", 0)
+    for mode in ("brave", "cautious"):
+        with pytest.raises(ValueError, match="needs an atom"):
+            mode_result(sets, mode)
+        with pytest.raises(ValueError, match="needs an atom"):
+            mode_result(frozenset(), mode)
 
 
 def test_reason_enumerate_order():
     p = parse_program("a | b.  c :- b.")
     x = {p.atom_id("a"), p.atom_id("b")}
-    sets = reason(p, x, "enumerate")
+    sets = _modes(p, x, "enumerate")
     assert [sorted(m) for m in sets] == [[0], [1, 2]]
 
 
@@ -233,3 +242,46 @@ def test_one_propagation_matches_subset_scan(monkeypatch):
                 scans.clear()
                 checked += 1
     assert checked > 50
+
+
+def _horn_star_program(rng: random.Random, n: int):
+    """Random Horn* rules: facts, definite rules, constraints with negative
+    bodies and tautological rules, some of them disjunctive."""
+    b = ProgramBuilder()
+    atoms = [f"a{i}" for i in range(n)]
+    for _ in range(rng.randint(1, 3 * n)):
+        pos = rng.sample(atoms, rng.randint(0, min(2, n)))
+        neg = rng.sample(atoms, rng.randint(0, min(2, n)))
+        kind = rng.random()
+        if kind < 0.2:
+            b.add_rule([rng.choice(atoms)])
+        elif kind < 0.4:
+            b.add_rule([], pos, neg)
+        elif kind < 0.55:
+            head = rng.sample(atoms, rng.randint(1, min(3, n)))
+            b.add_rule(head, pos + [rng.choice(head + neg)], neg)
+        else:
+            b.add_rule([rng.choice(atoms)], pos)
+    return b.build()
+
+
+def test_horn_star_matches_brute_on_corpus():
+    rng = random.Random(2011)
+    for _ in range(200):
+        p = _horn_star_program(rng, rng.randint(1, 10))
+        assert in_target_class(p, TargetClass.HORN)
+        assert horn_star_answer_sets(p) == brute_answer_sets(p)
+
+
+def test_horn_star_raises_exactly_outside_class():
+    rng = random.Random(2012)
+    members = 0
+    for _ in range(300):
+        p = _mixed_program(rng, rng.randint(1, 8))
+        if in_target_class(p, TargetClass.HORN):
+            members += 1
+            assert horn_star_answer_sets(p) == brute_answer_sets(p)
+        else:
+            with pytest.raises(ValueError):
+                horn_star_answer_sets(p)
+    assert 0 < members < 300
