@@ -2,14 +2,18 @@
 
 Detection for the Horn target reduces to minimum vertex cover of the conflict
 graph (two atoms clash when a non-tautological rule puts both in the head, or
-one in the head and one in the negative body).  Detection for the acyclicity
-targets deletes atoms: branch on head atoms of normality-violating rules and
-on atom vertices of forbidden cycles.  The deletion search compiles the
-program once into rule bitmasks; a search node is one deletion mask, and
-costs one pass over the rule masks plus a linear component pass over the
-dependency graph, with breadth-first search only inside a component and no
-deeper than the best witness so far.  All searches are exact and return the
-minimum witness whose sorted id-vector is lexicographically smallest.
+one in the head and one in the negative body).  Self-loop atoms join the cover
+first; each connected component of the rest is then searched on its own with
+the bounded search tree of FPT vertex cover: branch on a maximum-degree vertex
+or on all of its neighbours, and prune by a greedy matching, the one lower
+bound.  Detection for the acyclicity targets deletes atoms: branch on head
+atoms of normality-violating rules and on atom vertices of forbidden cycles.
+The deletion search compiles the program once into rule bitmasks; a search
+node is one deletion mask, and costs one pass over the rule masks plus a
+linear component pass over the dependency graph, with breadth-first search
+only inside a component and no deeper than the best witness so far.  All
+searches are exact and return the minimum witness whose sorted id-vector is
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .depgraph import _components
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
                       atoms_of, in_target_class, rule_flags, violation)
 from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
@@ -59,14 +64,28 @@ def horn_conflict_graph(p: Program) -> ConflictGraph:
 # ---------------------------------------------------------------------------
 # exact minimum vertex cover
 
+def _matching_lb(adj: dict[int, set[int]]) -> int:
+    """Edges in a greedy maximal matching: every cover takes one end of each."""
+    matched: set[int] = set()
+    for v in sorted(adj):
+        if v in matched:
+            continue
+        for w in sorted(adj[v]):
+            if w not in matched:
+                matched.update((v, w))
+                break
+    return len(matched) // 2
+
+
 class _VCSearch:
     """Branch and bound on one connected component.
 
-    Branches on a maximum-degree vertex v: either v joins the cover or all of
-    its neighbors do.  Forced inclusions (degree above the remaining original
-    budget) are applied first; pruning uses greedy matching and clique-cover
-    lower bounds.  Ties at the best size are explored so the final cover is
-    the lexicographically smallest minimum one.
+    Branches on a maximum-degree vertex v, the smallest on ties: either v
+    joins the cover or all of its neighbors do.  A node is pruned when its
+    cover plus the greedy matching bound of what is left exceeds the budget
+    (the bound given, or the best size found so far).  Ties at the best size
+    are explored, so the final cover is the lexicographically smallest
+    minimum one.
     """
 
     def __init__(self, adj: dict[int, set[int]], budget: int):
@@ -91,114 +110,23 @@ class _VCSearch:
                 self.adj.setdefault(w, set()).add(v)
         trail.clear()
 
-    def _matching_lb(self) -> int:
-        matched: set[int] = set()
-        lb = 0
-        for v in sorted(self.adj):
-            if v in matched:
-                continue
-            for w in sorted(self.adj[v]):
-                if w not in matched:
-                    matched.add(v)
-                    matched.add(w)
-                    lb += 1
-                    break
-        return lb
-
-    def _clique_lb(self) -> int:
-        # any cover takes all but one vertex of each clique in a partition
-        order = sorted(self.adj, key=lambda v: (-len(self.adj[v]), v))
-        cliques: list[list[int]] = []
-        for v in order:
-            av = self.adj[v]
-            for q in cliques:
-                if all(u in av for u in q):
-                    q.append(v)
-                    break
-            else:
-                cliques.append([v])
-        return len(order) - len(cliques)
-
-    def seed_greedy(self) -> None:
-        adj = {v: set(ns) for v, ns in self.adj.items()}
-        cover: list[int] = []
-        while adj:
-            v = max(adj, key=lambda u: (len(adj[u]), -u))
-            cover.append(v)
-            for w in adj.pop(v):
-                s = adj[w]
-                s.discard(v)
-                if not s:
-                    del adj[w]
-        if len(cover) <= self.budget:
-            self.best = (len(cover), tuple(sorted(cover)))
-
     def search(self, chosen: list[int]) -> None:
         self.nodes += 1
-        budget_eff = self.budget if self.best is None else min(self.budget, self.best[0])
-        if self.adj and len(chosen) >= budget_eff:
-            return
-
-        trail: list = []
-        forced: list[int] = []
-        while True:
-            brem = self.budget - len(chosen) - len(forced)
-            if brem <= 0:
-                break
-            over = [v for v in sorted(self.adj) if len(self.adj[v]) > brem]
-            if not over:
-                break
-            forced.append(over[0])
-            self._remove_vertex(over[0], trail)
-        cur = chosen + forced
-
         if not self.adj:
-            if len(cur) <= budget_eff:
-                cand = (len(cur), tuple(sorted(cur)))
-                if self.best is None or cand < self.best:
-                    self.best = cand
-            self._undo(trail)
+            cand = (len(chosen), tuple(sorted(chosen)))
+            if cand[0] <= self.budget and (self.best is None or cand < self.best):
+                self.best = cand
             return
-
-        lb = self._matching_lb()
-        if len(cur) + lb <= budget_eff:
-            lb = max(lb, self._clique_lb())
-        if len(cur) + lb > budget_eff:
-            self._undo(trail)
+        budget = self.budget if self.best is None else min(self.budget, self.best[0])
+        if len(chosen) + _matching_lb(self.adj) > budget:
             return
-
         v = max(sorted(self.adj), key=lambda u: len(self.adj[u]))
-        ns = sorted(self.adj[v])
-        t2: list = []
-        self._remove_vertex(v, t2)
-        self.search(cur + [v])
-        self._undo(t2)
-        t3: list = []
-        for w in ns:
-            self._remove_vertex(w, t3)
-        self.search(cur + ns)
-        self._undo(t3)
-        self._undo(trail)
-
-
-def _components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+        trail: list = []
+        for branch in ([v], sorted(self.adj[v])):
+            for w in branch:
+                self._remove_vertex(w, trail)
+            self.search(chosen + branch)
+            self._undo(trail)
 
 
 def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int]:
@@ -213,12 +141,14 @@ def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
 
-    comps = _components(adj)
-    comp_adjs = [{v: set(adj[v]) for v in comp} for comp in comps]
-    match_lbs = []
-    for ca in comp_adjs:
-        s = _VCSearch(ca, len(ca))
-        match_lbs.append(s._matching_lb())
+    # adj is symmetric, so its strongly connected components are the
+    # connected ones; they come out ordered by their smallest vertex
+    label = _components(adj)
+    comps: dict[int, dict[int, set[int]]] = {}
+    for v in sorted(adj):
+        comps.setdefault(label[v], {})[v] = adj[v]
+    comp_adjs = list(comps.values())
+    match_lbs = [_matching_lb(ca) for ca in comp_adjs]
 
     remaining = (k - len(forced)) if k is not None else None
     cover: list[int] = list(forced)
@@ -232,7 +162,6 @@ def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int
                 return None, nodes
             budget = min(budget, len(ca))
         solver = _VCSearch(ca, budget)
-        solver.seed_greedy()
         solver.search([])
         nodes += solver.nodes
         if solver.best is None:

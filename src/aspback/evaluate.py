@@ -14,6 +14,7 @@ A Horn* program is the case x = {}: its one candidate is the least model of its 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -221,11 +222,13 @@ def _tally(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[i
 def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
     """Evaluate p through the backdoor x, streaming over truth assignments.
 
-    Candidates are never materialized as a whole; jobs > 1 forks workers over
-    contiguous assignment ranges and aggregates in range order.
+    Candidates are never materialized as a whole; jobs > 1 forks workers
+    (at most one per CPU) over contiguous assignment ranges and aggregates
+    in range order.
     """
     ev = _Evaluator(p, x)
     total = 1 << len(ev.dom)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 256:
         parts = [_tally(ev, 0, total)]
     else:

@@ -3,10 +3,11 @@ import sys
 
 import pytest
 
-from aspback import (BackdoorQuery, ConflictGraph, ProgramBuilder, TargetClass,
-                     brute_min_backdoor, find_backdoor, horn_conflict_graph,
-                     in_target_class, parse_program, rule_flags,
-                     vertex_cover_min, verify_backdoor, witness_cycle)
+from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
+                     TargetClass, brute_min_backdoor, child_seed, find_backdoor,
+                     horn_conflict_graph, in_target_class, parse_program,
+                     random_program, rule_flags, vertex_cover_min,
+                     verify_backdoor, witness_cycle)
 from conftest import corpus, names_of
 
 
@@ -172,6 +173,44 @@ def test_deletion_search_deep_witness_iterative():
     finally:
         sys.setrecursionlimit(old)
     assert r.witness == frozenset(range(1100)) and r.nodes_explored == 1101
+
+
+def _strong_corpus():
+    """random_program inputs too large for the brute-force tests, then seeded
+    programs whose heads hold up to four atoms and whose rules have negative
+    bodies, so that conflict graphs get self-loops and cliques."""
+    out = [random_program(GenConfig(40, 1.5, seed=child_seed(1, i))) for i in range(40)]
+    rng = random.Random(2010)
+    for _ in range(200):
+        n = rng.randint(3, 16)
+        atoms = [f"a{i}" for i in range(n)]
+        b = ProgramBuilder()
+        for _ in range(rng.randint(1, 2 * n)):
+            head = rng.sample(atoms, rng.randint(0, min(4, n)))
+            pos = rng.sample(atoms, rng.choice((0, 0, 1)))
+            neg = rng.sample(atoms, rng.randint(0, min(3, n)))
+            b.add_rule(head, pos, neg)
+        out.append(b.build())
+    return out
+
+
+def _horn_witness(p, k=None):
+    w = find_backdoor(p, BackdoorQuery(TargetClass.HORN, k=k)).witness
+    return None if w is None else tuple(sorted(w))
+
+
+def test_strong_horn_witnesses_match_golden_table():
+    programs = _strong_corpus()
+    graphs = [horn_conflict_graph(p) for p in programs]
+    assert sum(any(a == b for a, b in g.edges) for g in graphs) >= 100
+    assert sum(any(len(r.head) >= 3 and not rule_flags(r).tautological
+                   for r in p.rules) for p in programs) >= 100
+    assert len(programs) == len(STRONG_GOLDEN)
+    for i, (p, want) in enumerate(zip(programs, STRONG_GOLDEN)):
+        assert _horn_witness(p) == want, f"program {i}"
+        assert _horn_witness(p, len(want)) == want, f"program {i}"
+        if want:
+            assert _horn_witness(p, len(want) - 1) is None, f"program {i}"
 
 
 DELETION_TARGETS = (TargetClass.HORN, TargetClass.C_ACYC, TargetClass.BC_ACYC,
@@ -799,4 +838,104 @@ GOLDEN = (
     ((((1,), 3), ((0,), 4), ((0,), 4), ((0,), 3), ((), 1), ((), 1)),
      (("u", (0, 4, 1, 2), True), ("u", (0, 4, 1, 2), True), ("d", (0, 3), False), None,
       None)),
+)
+
+
+# the strong Horn witness of each program of _strong_corpus(), recorded
+# before the vertex-cover search lost its clique bound, greedy seed and
+# forced inclusions; k = |w| gives the same witness and k = |w| - 1 none
+STRONG_GOLDEN = (
+    (3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 18, 20, 24, 25, 29, 33, 35, 38),
+    (0, 1, 2, 3, 5, 6, 8, 9, 11, 17, 22, 23, 25, 27, 29, 31, 37, 38),
+    (1, 3, 5, 6, 8, 9, 12, 13, 15, 17, 18, 21, 24, 27, 33, 35, 37),
+    (0, 1, 2, 3, 4, 7, 10, 11, 13, 14, 15, 16, 20, 22, 27, 31, 32, 33, 36),
+    (1, 2, 3, 4, 5, 7, 8, 11, 12, 14, 15, 16, 18, 21, 22, 23, 32, 33, 36),
+    (1, 2, 3, 4, 6, 11, 18, 20, 23, 28, 30, 31, 32, 33, 34, 36, 38),
+    (0, 1, 4, 6, 7, 8, 9, 10, 13, 15, 16, 17, 18, 20, 23, 25, 27, 31, 32, 36, 37),
+    (2, 3, 7, 9, 15, 22, 23, 24, 26, 27, 29, 31, 32, 33, 34, 36),
+    (1, 2, 4, 5, 6, 8, 12, 15, 21, 22, 23, 26, 27, 32, 34, 36, 38, 39),
+    (0, 1, 3, 4, 5, 8, 9, 11, 18, 19, 23, 30, 31, 36, 37, 39),
+    (0, 1, 3, 4, 5, 8, 12, 15, 16, 21, 24, 27, 29, 33, 34, 35, 36, 37, 39),
+    (1, 5, 8, 9, 10, 14, 17, 21, 26, 27, 28, 29, 30, 36, 39),
+    (0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 18, 19, 21, 27, 30, 31, 32, 36, 37),
+    (0, 2, 3, 4, 5, 8, 11, 15, 19, 20, 23, 24, 26, 28, 30, 33, 34, 38),
+    (0, 1, 3, 6, 9, 10, 11, 14, 15, 16, 17, 18, 19, 21, 24, 26, 34, 35, 37, 39),
+    (2, 4, 5, 7, 10, 11, 12, 16, 18, 21, 22, 23, 24, 25, 26, 27, 33, 36, 38),
+    (2, 3, 4, 5, 6, 7, 8, 13, 14, 16, 18, 20, 22, 23, 27, 30, 32, 39),
+    (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 16, 18, 21, 22, 28, 35, 38),
+    (0, 1, 3, 4, 6, 8, 10, 13, 14, 16, 17, 19, 23, 28, 31, 32),
+    (2, 4, 5, 7, 8, 11, 22, 25, 26, 27, 29, 32, 33, 37, 39),
+    (0, 2, 3, 4, 5, 6, 7, 9, 10, 11, 16, 18, 19, 24, 29, 36, 39),
+    (0, 1, 2, 5, 6, 16, 18, 19, 23, 25, 28, 29, 30, 35, 36, 37, 38, 39),
+    (2, 3, 4, 5, 9, 11, 12, 13, 16, 24, 25, 26, 28, 30, 33, 36),
+    (0, 4, 5, 7, 8, 9, 13, 17, 18, 19, 20, 24, 25, 26, 30, 34, 38, 39),
+    (0, 1, 4, 6, 10, 11, 12, 17, 18, 19, 21, 24, 27, 30, 32, 33, 34, 36, 37),
+    (0, 3, 7, 10, 11, 13, 14, 15, 16, 22, 25, 27, 28, 30, 32, 33, 35, 36, 37, 38),
+    (0, 2, 3, 11, 14, 15, 19, 21, 24, 25, 27, 29, 30, 31, 32, 36, 39),
+    (0, 1, 3, 6, 7, 8, 9, 10, 12, 13, 18, 19, 22, 25, 29, 31, 33, 34, 36),
+    (0, 1, 3, 4, 10, 15, 16, 18, 21, 22, 23, 24, 25, 28, 33, 34, 35, 36),
+    (0, 2, 3, 4, 5, 7, 9, 15, 17, 18, 19, 20, 23, 25, 28, 29, 33, 39),
+    (1, 4, 5, 6, 7, 8, 13, 14, 15, 16, 20, 22, 25, 26, 28, 30, 33, 34, 36, 39),
+    (4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 22, 29, 35, 39),
+    (1, 2, 5, 6, 7, 10, 11, 13, 14, 16, 17, 22, 28, 29, 34, 37, 38),
+    (0, 1, 2, 3, 4, 5, 6, 9, 10, 13, 14, 15, 16, 17, 18, 25, 27, 28, 29, 31),
+    (6, 7, 9, 11, 12, 14, 18, 19, 23, 24, 25, 27, 28, 30, 32, 33, 36, 37),
+    (0, 2, 3, 4, 8, 9, 11, 16, 17, 18, 22, 24, 29, 31, 34, 36, 37),
+    (1, 2, 3, 5, 6, 9, 10, 11, 12, 15, 16, 18, 19, 23, 24, 25, 26, 27, 34),
+    (0, 1, 2, 4, 5, 8, 9, 11, 13, 14, 16, 17, 23, 24, 25, 27, 34, 39),
+    (0, 1, 3, 8, 9, 10, 11, 12, 14, 15, 17, 20, 23, 25, 27, 28, 31, 32),
+    (2, 3, 6, 7, 10, 11, 12, 13, 14, 16, 17, 23, 24, 25, 26, 28, 29, 33, 39),
+    (0, 1, 2, 3), (0, 1, 2, 3), (0, 2), (0, 1, 2, 4), (0, 1, 2, 4, 5),
+    (0, 2, 3, 4, 6, 7), (0, 2, 3, 4, 5, 6, 7, 8, 11, 13, 14), (0, 1), (0, 1, 2, 4, 5),
+    (0, 1, 2, 3, 4), (0, 1, 2, 4, 6), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4),
+    (0, 2, 3, 4, 5, 6, 7, 9), (0, 1, 2), (0, 1, 2, 3, 4),
+    (0, 1, 2, 4, 6, 7, 8, 9, 10, 11), (0, 1, 3, 4, 5, 9, 10, 11), (0, 1, 2, 3, 4, 5),
+    (0, 4), (0, 1), (0, 1, 2, 3, 6), (0, 1, 3, 4, 5, 6, 7, 12), (1, 2),
+    (0, 2, 3, 4, 6, 7, 9, 10, 12), (1, 2, 3, 4, 5, 6, 7, 9), (1, 2, 3, 4, 9),
+    (0, 2, 3, 4, 5, 7), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5, 6, 8, 10), (0, 2, 4, 5, 6),
+    (0,), (0, 1, 2, 4, 5), (0, 1, 2, 3, 4, 5, 7, 8, 11, 13, 14, 15),
+    (0, 2, 4, 5, 6, 7, 8, 10, 14), (0, 1, 2), (1, 4, 5, 6, 7),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12), (0, 1, 2), (), (0, 1, 2, 3, 4, 5, 6, 9, 13),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 10), (0, 1, 2, 4, 5), (1, 2, 3, 4, 6),
+    (0, 2, 3, 4, 5, 7, 8, 9, 10, 12), (0, 1, 4, 5, 6, 8), (0, 1),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14), (0, 1, 2, 3, 4, 5, 8),
+    (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12), (0, 1, 2, 3, 7, 8, 9, 10, 11),
+    (0, 1, 2, 4, 5, 6, 7, 9), (0, 1, 2, 4, 5, 6, 7), (0, 1, 3, 4, 5, 7, 8),
+    (0, 1, 4, 5, 6, 7, 9, 10, 12), (0, 1, 2, 3), (0, 1), (0, 1), (1, 3, 5),
+    (0, 1, 2, 3, 5, 7, 8, 9, 11, 12), (0, 1, 2, 3, 5, 6), (0, 1), (0, 2, 3), (),
+    (0, 2, 3, 7), (0, 1, 2), (0, 2), (1, 2, 3, 4, 5, 7), (0, 1, 2, 3), (0, 1, 2, 3),
+    (0, 1, 2, 3, 4, 8, 9, 10, 11, 12), (1, 2, 3, 4, 7, 8, 9, 10, 11, 13),
+    (0, 1, 2, 5, 6, 7, 10, 12, 13), (0, 1, 2, 3, 6, 7, 9, 10, 11), (0, 1, 2, 5),
+    (0, 1, 2), (0, 3, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6), (0, 2, 4, 5, 8, 9, 10),
+    (0, 1, 2, 3, 5), (0, 1, 2, 3, 5), (2, 3, 4, 5, 7),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11), (0, 1, 2, 3, 4, 5, 7, 10), (0, 1),
+    (0, 1, 3, 4, 5, 6, 7, 12), (0, 1, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6, 7, 8, 10),
+    (1, 2, 3), (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14), (1, 2, 4),
+    (0, 1, 2, 3, 4, 8, 10), (0, 1, 3), (0, 1, 2), (0, 1, 2, 5),
+    (0, 2, 3, 5, 6, 8, 9, 11, 12, 14), (0, 1, 2), (0, 1, 3, 4, 6),
+    (0, 1, 3, 4, 5, 6, 7, 8, 9, 13), (0, 2, 3, 4, 5), (0, 2), (0, 1, 2), (0, 2, 3, 4),
+    (), (0, 1, 4, 5), (1, 5), (0,), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (),
+    (0, 1, 2, 7, 8, 9), (0, 3), (0, 1, 2, 3, 4, 6, 7, 8, 10), (1, 2, 4, 5, 6, 8, 9),
+    (0, 1, 2, 5, 6, 8, 10, 11), (0, 1, 3, 5, 6, 9), (0, 1, 2), (0, 2, 4, 7),
+    (0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 15),
+    (0, 1, 2, 3, 5, 6, 7, 8, 9, 10), (0, 1, 2, 3, 5, 6, 8, 10, 11, 12, 13),
+    (0, 1, 3, 8, 10), (0, 1, 2, 5, 6, 7, 8, 9), (1, 3, 4), (0, 2), (0, 1, 2, 3),
+    (0, 2, 3), (1, 2, 3, 5, 6, 8), (0, 1, 2, 3, 5, 6, 8, 10), (2, 3, 4, 5, 7, 8), (),
+    (0, 1, 2, 3, 4, 5, 6, 7, 10, 12, 14), (0, 1, 2), (0, 1, 2, 3, 4, 5, 7, 9),
+    (0, 2, 3, 4, 5), (0, 2, 3, 4, 6), (0, 1, 2, 3, 4, 5, 7, 8, 10),
+    (0, 1, 2, 3, 4, 6, 7, 8, 9), (0, 2, 3, 4, 5, 8, 9, 11, 13), (0, 1, 2, 4, 5, 8, 9),
+    (0, 1), (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), (0, 2), (0, 2, 3, 4, 8), (0, 2, 3),
+    (0, 1, 3, 4, 7, 8, 9, 10), (0, 2, 3, 4, 5, 6, 8, 9, 10),
+    (0, 1, 2, 3, 4, 5, 7, 8, 9, 10), (2,), (0, 1, 3, 5, 6),
+    (0, 1, 3, 4, 5, 7, 8, 9, 10, 11, 12, 14), (0, 1, 2, 3, 5, 6), (0, 1, 2, 3, 5, 7, 8),
+    (0, 1, 2), (0, 1, 2), (0, 2, 3, 4, 6), (3,), (0, 1, 2, 4),
+    (0, 1, 2, 3, 5, 7, 8, 9, 11), (0, 1, 2), (0, 1, 2, 3, 8, 9), (0, 1, 2),
+    (0, 2, 3, 4, 5, 6, 9), (0, 2), (0, 1, 4, 5, 6, 7, 8, 10, 11, 12), (0, 1, 2, 3, 5),
+    (0, 1, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15), (0, 2, 3), (0, 1, 2, 5, 6, 7, 8),
+    (0, 1, 3), (0, 1, 3), (0, 1, 3, 4, 5, 6, 9), (0, 2, 5, 6, 7, 10), (0, 1, 3, 4, 5),
+    (0, 1, 2, 5, 6, 9), (0, 1, 2, 3, 4, 5), (1, 2, 4, 6), (0, 1, 3, 4, 6, 12),
+    (0, 1, 2, 3), (0, 1, 3, 4), (1, 3, 4, 5, 6, 7), (0, 1, 2, 3, 5), (0, 1, 3, 4, 5, 6),
+    (0, 4, 5, 6, 7, 9), (0, 2, 3), (0, 1, 3, 4, 5, 6), (2, 3, 4, 7, 8, 9, 10, 12),
+    (0, 1, 2, 5, 6), (0, 1, 2, 3, 5, 6, 7), (2,), (0, 1), (0, 1, 2, 3, 5, 6, 7, 8, 10),
+    (0, 1), (0, 1, 2, 4), (0, 1, 2, 3, 4, 5, 10, 11, 12), (0, 1, 2, 4, 6, 7, 8, 9),
 )

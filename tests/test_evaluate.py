@@ -1,4 +1,6 @@
+import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +9,7 @@ from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
                      check_answer_set, find_backdoor, horn_star_answer_sets,
                      in_target_class, is_answer_set_direct, is_model,
                      mode_result, parse_program)
+from aspback import evaluate
 from aspback.evaluate import _Evaluator
 from conftest import corpus, names_of
 
@@ -96,6 +99,35 @@ def test_parallel_matches_serial(ex1, ex1_ids):
     a = answer_sets(ex1, x, jobs=1)
     b = answer_sets(ex1, x, jobs=2)
     assert a == b
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # a pool that records its size and maps inline, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(evaluate.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    k = 10
+    p = parse_program(_loops(k, "g{i} :- not g{i}."))
+    x = {p.atom_id(f"g{i}") for i in range(k)}
+    rep = answer_sets(p, x, jobs=10000)
+    assert sizes == [2]
+    assert rep == answer_sets(p, x, jobs=1)
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
 
 
 def test_minimality_scan_order_free(ex1, ex1_ids):
