@@ -6,19 +6,26 @@ one in the head and one in the negative body).  Self-loop atoms join the cover
 first; each connected component of the rest is then searched on its own with
 the bounded search tree of FPT vertex cover: branch on a maximum-degree vertex
 or on all of its neighbours, and prune by a greedy matching, the one lower
-bound.  Detection for the acyclicity targets deletes atoms: branch on head
-atoms of normality-violating rules and on atom vertices of forbidden cycles.
-The deletion search compiles the program once into rule bitmasks; a search
-node is one deletion mask, and costs one pass over the rule masks plus a
-linear component pass over the dependency graph, with breadth-first search
-only inside a component and no deeper than the best witness so far.  All
-searches are exact and return the minimum witness whose sorted id-vector is
-lexicographically smallest.
+bound.  Deletion detection branches on head atoms of normality-violating
+rules and on atom vertices of forbidden cycles, over deletion masks of the
+program compiled into rule bitmasks; one memo maps each mask to its
+violation (one pass over the rule masks, then a component pass over the
+dependency graph).  A size pass prunes ties and gives the optimum size; a
+lexicographic pass then keeps each atom, in ascending order, that some
+optimal solution holds together with the atoms kept so far: free when the
+current witness holds it, else by a search that stops at its first solution,
+the new witness.  A skipped atom need not be forbidden later: an optimal
+solution holding it would have passed its test.  Nodes are pruned by a
+greedy packing of atom-disjoint violations, sound only until a packed
+violation meets an atom whose deletion can wake a tautological rule; the
+packing stops there.  All searches are exact and return the minimum witness
+whose sorted id-vector is lexicographically smallest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .depgraph import _components
@@ -190,22 +197,28 @@ def vertex_cover_min(g: ConflictGraph, k: int | None = None) -> frozenset[int] |
 def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
     """Does x work as a backdoor of the given kind into the target class?
 
-    Strong: every truth-assignment reduct lands in the class (guarded at 30
-    relevant atoms).  Deletion: the program with x erased lands in the class.
-    Atoms of x that do not occur in p are vacuous.
+    Strong Horn: x covers the conflict graph.  Other strong targets: every
+    truth-assignment reduct lands in the class (guarded at 30 relevant
+    atoms).  Deletion: the program with x erased lands in the class.  Atoms
+    of x that do not occur in p are vacuous.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     xx = check_atoms(p, x, "backdoor")
     if kind == "deletion":
         return in_target_class(delete_atoms(p, xx), target)
-    dom = sorted(xx & p.occurring_atoms())
-    if len(dom) > STRONG_ENUM_GUARD:
+    if target is TargetClass.HORN:
+        return horn_conflict_graph(p).covered_by(xx)
+    if len(xx & p.occurring_atoms()) > STRONG_ENUM_GUARD:
         raise ValueError(f"backdoor too large for strong check (> {STRONG_ENUM_GUARD})")
-    for tau in assignments_over(dom):
-        if not in_target_class(ta_reduct(p, tau), target):
-            return False
-    return True
+    return reducts_in_class(p, xx, target)
+
+
+def reducts_in_class(p: Program, x: frozenset[int], target: TargetClass) -> bool:
+    """The definition of a strong backdoor: every truth-assignment reduct
+    over the occurring atoms of x lies in the target class (unguarded)."""
+    return all(in_target_class(ta_reduct(p, tau), target)
+               for tau in assignments_over(x & p.occurring_atoms()))
 
 
 # ---------------------------------------------------------------------------
@@ -231,69 +244,71 @@ class BackdoorResult:
     nodes_explored: int
 
 
-def _packing_prunes(cp: CompiledProgram, target: TargetClass, x: int,
-                    viol: int, budget: int) -> bool:
-    """Does a greedy packing of atom-disjoint violations, starting from viol
-    (the first violation under x), need more than budget deletions in all?
-
-    Each packed violation needs its own deletion.  Counting stops as soon as
-    the budget is exceeded, and is skipped when the atoms left could not
-    exceed it: every violation has an atom outside the deletions so far.
-    """
-    size = x.bit_count()
-    if size + (cp.occurring & ~x).bit_count() <= budget:
-        return False
-    count = 0
-    while viol:
-        count += 1
-        if size + count > budget:
-            return True
-        x |= viol
-        viol = violation(cp, target, x)
-    return False
-
-
 def _deletion_search(p: Program, target: TargetClass,
                      k: int | None) -> tuple[frozenset[int] | None, int]:
+    """Minimum deletion backdoor within k, the lexicographically smallest
+    on ties, and the search nodes of both passes (see the module notes)."""
     cp = CompiledProgram(p)
     n_occ = cp.occurring.bit_count()
-    limit = n_occ if k is None else min(k, n_occ)
-    best: tuple[int, tuple[int, ...]] | None = None
-    seen: set[int] = set()
+    viol = cache(lambda x: violation(cp, target, x))  # the per-search memo
+    wake = 0  # atoms whose deletion can wake a tautological rule
+    for h, pos, neg in cp.rules:
+        wake |= pos & (h | neg)
     nodes = 0
 
-    def visit(x: int) -> int:
-        """Count node x; return the atoms to branch on (0 for a leaf)."""
-        nonlocal best, nodes
-        if x in seen:
-            return 0
-        seen.add(x)
-        nodes += 1
-        budget = limit if best is None else min(limit, best[0])
+    def packing_prunes(x: int, v: int, budget: int) -> bool:
+        """Do atom-disjoint violations, packed greedily from v (the one under
+        x), need more than budget deletions?  Every one has an atom outside x,
+        so the packing is skipped when the atoms left cannot exceed it."""
         size = x.bit_count()
-        if size > budget:
-            return 0
-        viol = violation(cp, target, x)
-        if not viol:
-            cand = (size, tuple(atoms_of(x)))
-            if best is None or cand < best:
-                best = cand
-            return 0
-        if _packing_prunes(cp, target, x, viol, budget):
-            return 0
-        return viol
+        if size + (cp.occurring & ~x).bit_count() <= budget:
+            return False
+        count = 0
+        while v:
+            count += 1
+            if size + count > budget:
+                return True
+            if v & wake:
+                return False
+            x |= v
+            v = viol(x)
+        return False
 
-    # depth first, smallest branch atom first: (x, branch atoms not yet tried)
-    stack = [(0, visit(0))]
-    while stack:
-        x, rest = stack[-1]
-        if not rest:
-            stack.pop()
-            continue
+    def search(root: int, budget: int, first: bool) -> int | None:
+        """Depth first from root, smallest branch atom first: the smallest
+        solution within budget (ties pruned), or the first one found."""
+        nonlocal nodes
+        found, seen, stack = None, set(), [root]
+        while stack and not (first and found is not None):
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            nodes += 1
+            if x.bit_count() > budget:
+                continue
+            v = viol(x)
+            if not v:
+                found, budget = x, x.bit_count() - 1
+            elif not packing_prunes(x, v, budget):
+                stack.extend(x | 1 << a for a in reversed(atoms_of(v)))
+        return found
+
+    witness = search(0, n_occ if k is None else min(k, n_occ), False)
+    if witness is None:
+        return None, nodes
+    opt = witness.bit_count()
+    kept, rest = 0, cp.occurring
+    while kept.bit_count() < opt:
         a = rest & -rest
-        stack[-1] = (x, rest ^ a)
-        stack.append((x | a, visit(x | a)))
-    return (frozenset(best[1]) if best is not None else None), nodes
+        rest ^= a
+        if not a & witness:
+            found = search(kept | a, opt, True)
+            if found is None:
+                continue
+            witness = found
+        kept |= a
+    return frozenset(atoms_of(witness)), nodes
 
 
 def _strong_acyclic_search(p: Program, target: TargetClass,

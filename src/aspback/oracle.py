@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .detect import verify_backdoor
+from .detect import reducts_in_class, verify_backdoor
 from .program import (CompiledProgram, Program, TargetClass, atom_mask,
                       atoms_of)
 from .reducts import check_atoms
@@ -67,12 +67,14 @@ def is_answer_set_direct(p: Program, m, max_atoms: int = BRUTE_ATOM_GUARD) -> bo
 
 def brute_min_backdoor(p: Program, target: TargetClass, kind: str,
                        max_atoms: int = BRUTE_BACKDOOR_GUARD) -> frozenset[int]:
-    """Smallest backdoor by subset enumeration, size then lexicographic order."""
+    """Smallest backdoor by subset enumeration, size then lexicographic order;
+    strong ones by their definition (all truth-assignment reducts), Horn too."""
     occ = sorted(p.occurring_atoms())
     if len(occ) > max_atoms:
         raise ValueError(f"brute_min_backdoor guard: {len(occ)} atoms > {max_atoms}")
     for size in range(len(occ) + 1):
         for combo in combinations(occ, size):
-            if verify_backdoor(p, combo, target, kind):
+            if (reducts_in_class(p, frozenset(combo), target) if kind == "strong"
+                    else verify_backdoor(p, combo, target, kind)):
                 return frozenset(combo)
     raise AssertionError("occurring atoms always form a backdoor")

@@ -8,6 +8,7 @@ from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      horn_conflict_graph, in_target_class, parse_program,
                      random_program, rule_flags, vertex_cover_min,
                      verify_backdoor, witness_cycle)
+from aspback.detect import reducts_in_class
 from conftest import corpus, names_of
 
 
@@ -98,6 +99,34 @@ def test_verify_backdoor_validation(ex1):
         verify_backdoor(ex1, {0}, TargetClass.HORN, "shrink")
 
 
+def test_strong_horn_cover_check_matches_reducts():
+    # the conflict-graph cover decides what the reduct enumeration decides
+    rng = random.Random(2012)
+    verdicts = []
+    for i, p in enumerate(_golden_corpus()):
+        occ = sorted(p.occurring_atoms())
+        for _ in range(3):
+            x = frozenset(rng.sample(occ, rng.randint(0, len(occ))))
+            got = verify_backdoor(p, x, TargetClass.HORN, "strong")
+            assert got == reducts_in_class(p, x, TargetClass.HORN), f"program {i}, {sorted(x)}"
+            verdicts.append(got)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_strong_horn_check_builds_no_reducts(monkeypatch):
+    # only a15 true keeps "c | d." in the reduct; the enumeration would build
+    # 2^16 reducts, and refuse a set above the 30-atom guard
+    import aspback.detect
+    built = []
+    monkeypatch.setattr(aspback.detect, "ta_reduct", lambda *a: built.append(a))
+    p = parse_program("".join(f"b :- a{i}.\n" for i in range(40)) + "c | d :- a15.\n")
+    x = [p.atom_id(f"a{i}") for i in range(16)]
+    assert not verify_backdoor(p, x, TargetClass.HORN, "strong")
+    assert verify_backdoor(p, x + [p.atom_id("c")], TargetClass.HORN, "strong")
+    assert verify_backdoor(p, range(p.n_atoms), TargetClass.HORN, "strong")
+    assert built == []
+
+
 def test_query_validation():
     q = BackdoorQuery(TargetClass.HORN)
     assert q.k is None
@@ -152,6 +181,9 @@ def test_find_backdoor_strong_acyclic(ex1):
     ("strong", TargetClass.HORN),
     ("deletion", TargetClass.HORN),
     ("deletion", TargetClass.C_ACYC),
+    ("deletion", TargetClass.BC_ACYC),
+    ("deletion", TargetClass.DC_ACYC),
+    ("deletion", TargetClass.DC2_ACYC),
     ("deletion", TargetClass.STRAT),
     ("strong", TargetClass.DC2_ACYC),
 ])
@@ -276,16 +308,30 @@ def test_deletion_search_and_witnesses_match_golden_table():
             assert in_target_class(p, c) == (w is None), f"program {i}, {c}"
 
 
+def test_bounded_deletion_queries_match_golden_witnesses():
+    # k = |w| finds w and k = |w| - 1 nothing; the packing bound must stop
+    # where its own deletions could wake a tautological rule, or it prunes
+    # k = |w| wrongly (program 97, c-acyc, k = 1)
+    for i, (p, want) in enumerate(zip(_golden_corpus(), GOLDEN)):
+        for t, (w, _) in zip(DELETION_TARGETS, want[0]):
+            def at(k):
+                return find_backdoor(p, BackdoorQuery(t, kind="deletion", k=k)).witness
+            assert at(len(w)) == frozenset(w), f"program {i}, {t}"
+            if w:
+                assert at(len(w) - 1) is None, f"program {i}, {t}"
+
+
 # (witness, nodes_explored) of the deletion search per target in
 # DELETION_TARGETS order, then witness_cycle per class in CYCLE_CLASSES order
 # as (kind initial, vertices, bad), for each program of _golden_corpus();
-# recorded before the deletion search was compiled into rule masks.
+# witnesses recorded before the deletion search was compiled into rule masks,
+# node counts when it was split into a size pass and a lexicographic pass.
 GOLDEN = (
-    ((((2, 3, 4, 8), 82), ((2, 8), 8), ((2, 8), 8), ((2, 8), 8), ((2, 8), 8),
-      ((2, 8), 8)),
+    ((((2, 3, 4, 8), 99), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20),
+      ((2, 8), 20)),
      (("u", (8, 21), True), ("u", (8, 21), True), ("d", (8,), True), ("d", (8,), True),
       ("d", (8,), True))),
-    ((((0, 4), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((0, 4), 9), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
@@ -293,60 +339,60 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2)),
+    ((((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
      (("u", (1, 4), True), ("u", (1, 4), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((2,), 5), ((0, 2), 7), ((2,), 5), ((0, 2), 9), ((2,), 5), ((2,), 5)),
+    ((((2,), 7), ((0, 2), 9), ((2,), 7), ((0, 2), 8), ((2,), 7), ((2,), 7)),
      (("u", (1, 2, 4), True), ("u", (1, 2, 4), True), ("d", (0, 3), False),
       ("d", (1, 2), True), ("d", (1, 2), True))),
-    ((((1, 3), 8), ((1, 3), 8), ((1, 3), 8), ((1, 3), 8), ((1, 3), 8), ((1, 3), 8)),
+    ((((1, 3), 12), ((1, 3), 9), ((1, 3), 9), ((1, 3), 9), ((1, 3), 9), ((1, 3), 9)),
      (("u", (3, 10), True), ("u", (3, 10), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((1,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((1,), 4), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 2, 3, 5), 24), ((0, 2, 3, 5), 20), ((0, 2, 3, 5), 18), ((2, 3), 4),
-      ((2, 3), 4), ((2, 3), 4)),
+    ((((0, 2, 3, 5), 26), ((0, 2, 3, 5), 21), ((0, 2, 3, 5), 18), ((2, 3), 10),
+      ((2, 3), 10), ((2, 3), 10)),
      (("u", (3, 11), True), ("u", (3, 11), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 5), 8), ((0, 1, 5), 9), ((0, 1, 5), 6), ((0, 1), 3), ((0, 1), 3),
+    ((((0, 1, 5), 9), ((0, 1, 5), 12), ((0, 1, 5), 9), ((0, 1), 3), ((0, 1), 3),
       ((0, 1), 3)),
      (("u", (0, 8), True), ("u", (0, 8), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((2, 3, 6, 7), 71), ((1, 5, 6), 74), ((1, 2, 6), 50), ((2, 6), 7), ((2,), 3),
-      ((2,), 3)),
+    ((((2, 3, 6, 7), 89), ((1, 5, 6), 57), ((1, 2, 6), 43), ((2, 6), 14), ((2,), 5),
+      ((2,), 5)),
      (("u", (2, 12, 5), True), ("u", (2, 12, 5), True), ("d", (2, 5), True),
       ("d", (2, 5), True), ("d", (2, 5), True))),
-    ((((1, 4, 5), 16), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
+    ((((1, 4, 5), 24), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 11, 4, 8), True), ("u", (1, 11, 4, 8), True), ("d", (1, 4), True),
       ("d", (1, 4), True), ("d", (1, 4), True))),
-    ((((1,), 3), ((0,), 5), ((0,), 5), ((), 1), ((), 1), ((), 1)),
+    ((((1,), 4), ((0,), 5), ((0,), 5), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 2, 3, 5, 1), True), ("u", (0, 2, 3, 5, 1), True), None, None, None)),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 2, 3, 5, 6, 9), 95), ((0, 1, 2, 3, 5, 6), 44), ((0, 1, 2, 3, 5, 6), 44),
-      ((0, 2, 3, 5, 6), 28), ((0, 2, 3, 5, 6), 28), ((0, 2, 3, 5, 6), 28)),
+    ((((0, 1, 2, 3, 5, 6, 9), 93), ((0, 1, 2, 3, 5, 6), 42), ((0, 1, 2, 3, 5, 6), 42),
+      ((0, 2, 3, 5, 6), 39), ((0, 2, 3, 5, 6), 39), ((0, 2, 3, 5, 6), 39)),
      (("u", (0, 10), True), ("u", (0, 10), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((2, 5, 7), 21), ((2, 5, 7), 26), ((2, 5, 7), 26), ((2, 3, 7), 15),
-      ((2, 3, 7), 15), ((2, 3, 7), 15)),
+    ((((2, 5, 7), 40), ((2, 5, 7), 42), ((2, 5, 7), 42), ((2, 3, 7), 29),
+      ((2, 3, 7), 29), ((2, 3, 7), 29)),
      (("u", (7, 18), True), ("u", (7, 18), True), ("d", (7,), True), ("d", (7,), True),
       ("d", (7,), True))),
-    ((((2,), 4), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2)),
+    ((((2,), 6), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4)),
      (("u", (2, 5), True), ("u", (2, 5), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2, 3, 5, 6), 17), ((0, 2, 3, 6), 7), ((0, 2, 3, 6), 7), ((0, 2, 3, 6), 7),
-      ((0, 2, 3, 6), 7), ((0, 2, 3, 6), 7)),
+    ((((2, 3, 5, 6), 31), ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16),
+      ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16)),
      (("u", (2, 10), True), ("u", (2, 10), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((0,), 2), ((0, 1, 3), 11), ((0,), 2), ((0, 4), 4), ((0,), 2), ((0,), 2)),
+    ((((0,), 2), ((0, 1, 3), 9), ((0,), 2), ((0, 4), 7), ((0,), 2), ((0,), 2)),
      (("u", (0, 8), True), ("u", (0, 8), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -359,24 +405,24 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 3, 4, 7), 63), ((0, 1, 2, 3, 4), 64), ((0, 1, 4, 8), 39),
-      ((0, 1, 2, 4), 25), ((0, 1, 2, 4), 34), ((0, 1, 2, 4), 37)),
+    ((((0, 1, 3, 4, 7), 47), ((0, 1, 2, 3, 4), 37), ((0, 1, 4, 8), 27),
+      ((0, 1, 2, 4), 17), ((0, 1, 2, 4), 20), ((0, 1, 2, 4), 20)),
      (("u", (0, 3, 7), False), ("u", (1, 17, 4, 10), True), ("d", (0, 7), False),
       ("d", (1, 4), True), ("d", (1, 4), True))),
-    ((((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2)),
+    ((((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4)),
      (("u", (2, 7), True), ("u", (2, 7), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2,), 3), ((0, 2), 13), ((2,), 7), ((0,), 3), ((), 1), ((), 1)),
+    ((((2,), 5), ((0, 2), 11), ((2,), 9), ((0,), 3), ((), 1), ((), 1)),
      (("u", (0, 1, 2), False), ("u", (0, 4, 5, 2), True), ("d", (0, 2), False), None,
       None)),
-    ((((0, 1, 3), 12), ((0, 1, 2), 12), ((0, 1, 2), 12), ((0, 1), 7), ((0, 1), 7),
-      ((0, 1), 7)),
+    ((((0, 1, 3), 10), ((0, 1, 2), 10), ((0, 1, 2), 10), ((0, 1), 6), ((0, 1), 6),
+      ((0, 1), 6)),
      (("u", (0, 15, 3), True), ("u", (0, 15, 3), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
-    ((((3, 4), 11), ((3, 4), 16), ((3, 4), 11), ((3, 4), 13), ((3, 4), 11),
-      ((3, 4), 11)),
+    ((((3, 4), 20), ((3, 4), 25), ((3, 4), 20), ((3, 4), 22), ((3, 4), 20),
+      ((3, 4), 20)),
      (("u", (1, 3, 7, 2), True), ("u", (1, 3, 7, 2), True), ("d", (2, 3), True),
       ("d", (2, 3), True), ("d", (2, 3), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -384,41 +430,41 @@ GOLDEN = (
     ((((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7)),
      (("u", (0, 6, 2, 4), True), ("u", (0, 6, 2, 4), True), ("d", (0, 2), True),
       ("d", (0, 2), True), ("d", (0, 2), True))),
-    ((((3, 4), 11), ((0, 3, 4), 9), ((3, 4), 6), ((3, 4), 6), ((3, 4), 6), ((3, 4), 6)),
+    ((((3, 4), 20), ((0, 3, 4), 12), ((3, 4), 9), ((3, 4), 9), ((3, 4), 9), ((3, 4), 9)),
      (("u", (4, 10), True), ("u", (4, 10), True), ("d", (4,), True), ("d", (4,), True),
       ("d", (4,), True))),
-    ((((2, 3, 5), 9), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((2, 3, 5), 9), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 8), True), ("u", (3, 8), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((1, 2, 3, 7), 18), ((0, 2, 6, 7), 22), ((2, 3, 7), 9), ((2, 3, 4, 7), 16),
-      ((2, 3, 7), 10), ((2, 3, 7), 10)),
+    ((((1, 2, 3, 7), 30), ((0, 2, 6, 7), 33), ((2, 3, 7), 25), ((2, 3, 4, 7), 34),
+      ((2, 3, 7), 25), ((2, 3, 7), 25)),
      (("u", (7, 16), True), ("u", (7, 16), True), ("d", (7,), True), ("d", (7,), True),
       ("d", (7,), True))),
-    ((((0, 3), 5), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((0, 3), 6), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 5), True), ("u", (3, 5), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((0, 1, 3, 4), 20), ((0, 1, 3), 17), ((0, 1, 3), 17), ((0, 1, 3), 17),
-      ((0, 1, 3), 17), ((0, 1, 3), 17)),
+    ((((0, 1, 3, 4), 17), ((0, 1, 3), 15), ((0, 1, 3), 15), ((0, 1, 3), 15),
+      ((0, 1, 3), 15), ((0, 1, 3), 15)),
      (("u", (3, 4, 18), True), ("u", (3, 4, 18), True), ("d", (0, 1), False),
       ("d", (0, 2), True), ("d", (0, 2), True))),
-    ((((0, 1), 7), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0, 1), 6), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 2), 5), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3)),
+    ((((0, 2), 6), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4)),
      (("u", (0, 3), True), ("u", (0, 3), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((1, 2, 3, 6, 7, 8), 58), ((0, 1, 2, 3, 7), 26), ((0, 1, 2, 3, 7), 26),
-      ((0, 1, 2, 3, 7), 26), ((0, 1, 2, 3, 7), 26), ((0, 1, 2, 3, 7), 26)),
+    ((((1, 2, 3, 6, 7, 8), 99), ((0, 1, 2, 3, 7), 29), ((0, 1, 2, 3, 7), 29),
+      ((0, 1, 2, 3, 7), 29), ((0, 1, 2, 3, 7), 29), ((0, 1, 2, 3, 7), 29)),
      (("u", (2, 16), True), ("u", (2, 16), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((0, 4, 5), 15), ((1, 4), 8), ((1, 4), 8), ((1, 4), 7), ((1, 4), 7), ((1, 4), 7)),
+    ((((0, 4, 5), 25), ((1, 4), 12), ((1, 4), 12), ((1, 4), 11), ((1, 4), 11), ((1, 4), 11)),
      (("u", (4, 11), True), ("u", (4, 11), True), ("d", (4,), True), ("d", (4,), True),
       ("d", (4,), True))),
-    ((((0, 3), 7), ((0, 3), 7), ((0, 3), 7), ((0, 3), 7), ((0, 3), 7), ((0, 3), 7)),
+    ((((0, 3), 8), ((0, 3), 8), ((0, 3), 8), ((0, 3), 8), ((0, 3), 8), ((0, 3), 8)),
      (("u", (3, 10), True), ("u", (3, 10), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((0, 1, 5), 8), ((0, 1, 5), 11), ((0, 1, 5), 11), ((0, 1, 5), 11),
-      ((0, 1, 5), 11), ((0, 1, 5), 11)),
+    ((((0, 1, 5), 11), ((0, 1, 5), 12), ((0, 1, 5), 12), ((0, 1, 5), 12),
+      ((0, 1, 5), 12), ((0, 1, 5), 12)),
      (("u", (0, 6), True), ("u", (0, 6), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((0,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -426,25 +472,25 @@ GOLDEN = (
     ((((0, 2, 6), 17), ((0,), 6), ((0,), 6), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 2, 3, 11, 6, 1, 9), True), ("u", (0, 2, 3, 11, 6, 1, 9), True), None,
       None, None)),
-    ((((1, 4), 8), ((1, 4), 6), ((1, 4), 6), ((1, 4), 6), ((1, 4), 6), ((1, 4), 6)),
+    ((((1, 4), 13), ((1, 4), 9), ((1, 4), 9), ((1, 4), 9), ((1, 4), 9), ((1, 4), 9)),
      (("u", (1, 6), True), ("u", (1, 6), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((0, 3, 4, 8), 28), ((0, 1, 3, 4, 6), 53), ((0, 3, 4, 6), 32), ((0, 3, 4, 6), 32),
-      ((0, 3, 4, 6), 32), ((0, 3, 4, 6), 32)),
+    ((((0, 3, 4, 8), 40), ((0, 1, 3, 4, 6), 45), ((0, 3, 4, 6), 38), ((0, 3, 4, 6), 38),
+      ((0, 3, 4, 6), 38), ((0, 3, 4, 6), 38)),
      (("u", (1, 2, 5), False), ("u", (0, 1, 2, 10), True), ("d", (0, 2), True),
       ("d", (0, 2), True), ("d", (0, 2), True))),
-    ((((0, 1, 9), 22), ((3, 5), 20), ((0, 1), 13), ((5,), 3), ((), 1), ((), 1)),
+    ((((0, 1, 9), 19), ((3, 5), 25), ((0, 1), 7), ((5,), 8), ((), 1), ((), 1)),
      (("u", (0, 3, 5), False), ("u", (1, 3, 4, 10), True), ("d", (5, 7), False), None,
       None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1, 3), 9), ((1, 3), 11), ((1, 3), 11), ((1, 3), 11), ((1, 3), 11),
-      ((1, 3), 11)),
+    ((((1, 3), 12), ((1, 3), 14), ((1, 3), 14), ((1, 3), 14), ((1, 3), 14),
+      ((1, 3), 14)),
      (("u", (3, 14), True), ("u", (3, 14), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((0,), 4), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((6,), 3), ((0, 1, 2), 23), ((6,), 11), ((0, 3), 9), ((3,), 10), ((), 1)),
+    ((((6,), 9), ((0, 1, 2), 13), ((6,), 17), ((0, 3), 9), ((3,), 13), ((), 1)),
      (("u", (0, 1, 3), False), ("u", (0, 6, 8, 7), True), ("d", (0, 1), False),
       ("d", (0, 7, 3), False), None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -460,32 +506,32 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1, 4), 4), ((1, 4), 3), ((1, 4), 3), ((1, 4), 3), ((1, 4), 3), ((1, 4), 3)),
+    ((((1, 4), 7), ((1, 4), 7), ((1, 4), 7), ((1, 4), 7), ((1, 4), 7), ((1, 4), 7)),
      (("u", (1, 7), True), ("u", (1, 7), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2, 4), 13), ((0, 4), 10), ((0, 4), 10), ((0, 4), 11), ((4,), 7), ((4,), 7)),
+    ((((2, 4), 18), ((0, 4), 13), ((0, 4), 13), ((0, 4), 12), ((4,), 11), ((4,), 11)),
      (("u", (1, 4, 6), True), ("u", (1, 4, 6), True), ("d", (0, 1), False),
       ("d", (1, 4), True), ("d", (1, 4), True))),
-    ((((2, 4, 6), 14), ((2, 4, 6), 4), ((2, 4, 6), 4), ((0, 2, 4, 6), 6),
-      ((2, 4, 6), 4), ((2, 4, 6), 4)),
+    ((((2, 4, 6), 26), ((2, 4, 6), 13), ((2, 4, 6), 13), ((0, 2, 4, 6), 12),
+      ((2, 4, 6), 13), ((2, 4, 6), 13)),
      (("u", (2, 10), True), ("u", (2, 10), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((0, 6, 7), 23), ((3,), 7), ((3,), 7), ((0,), 3), ((), 1), ((), 1)),
+    ((((0, 6, 7), 22), ((3,), 10), ((3,), 10), ((0,), 3), ((), 1), ((), 1)),
      (("u", (0, 3, 8, 10), True), ("u", (0, 3, 8, 10), True), ("d", (0, 3), False),
       None, None)),
-    ((((3,), 3), ((1, 3), 9), ((3,), 3), ((3,), 3), ((3,), 3), ((3,), 3)),
+    ((((3,), 6), ((1, 3), 11), ((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6)),
      (("u", (3, 9, 4), True), ("u", (3, 9, 4), True), ("d", (3, 4), True),
       ("d", (3, 4), True), ("d", (3, 4), True))),
-    ((((0, 1, 4), 7), ((0, 1, 4), 4), ((0, 1, 4), 4), ((0, 1, 4), 4), ((0, 1, 4), 4),
-      ((0, 1, 4), 4)),
+    ((((0, 1, 4), 10), ((0, 1, 4), 6), ((0, 1, 4), 6), ((0, 1, 4), 6), ((0, 1, 4), 6),
+      ((0, 1, 4), 6)),
      (("u", (0, 5), True), ("u", (0, 5), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((1,), 6), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
+    ((((1,), 7), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
      (("u", (0, 6, 1), True), ("u", (0, 6, 1), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
-    ((((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 5), True), ("u", (3, 5), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -494,14 +540,14 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 4), 20), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
+    ((((0, 1, 4), 14), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 12, 4, 8), True), ("u", (1, 12, 4, 8), True), ("d", (1, 4), True),
       ("d", (1, 4), True), ("d", (1, 4), True))),
-    ((((0, 3, 4, 7, 8), 32), ((0, 5, 6, 7), 29), ((0, 5, 6, 7), 29), ((0, 3, 7), 6),
-      ((0, 3, 7), 6), ((0, 3, 7), 6)),
+    ((((0, 3, 4, 7, 8), 53), ((0, 5, 6, 7), 37), ((0, 5, 6, 7), 37), ((0, 3, 7), 11),
+      ((0, 3, 7), 11), ((0, 3, 7), 11)),
      (("u", (0, 10), True), ("u", (0, 10), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((1, 3), 11), ((1, 2), 16), ((1,), 7), ((1, 2), 7), ((1,), 3), ((1,), 3)),
+    ((((1, 3), 13), ((1, 2), 14), ((1,), 8), ((1, 2), 8), ((1,), 4), ((1,), 4)),
      (("u", (2, 3, 6), False), ("u", (0, 3, 1, 8), True), ("d", (1, 7), True),
       ("d", (1, 7), True), ("d", (1, 7), True))),
     ((((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
@@ -511,9 +557,9 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1,), 3), ((1,), 7), ((1,), 4), ((), 1), ((), 1), ((), 1)),
+    ((((1,), 4), ((1,), 8), ((1,), 5), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 1, 3), False), ("u", (1, 3, 4, 5), True), None, None, None)),
-    ((((0, 6, 7), 14), ((6,), 2), ((6,), 2), ((6,), 2), ((6,), 2), ((6,), 2)),
+    ((((0, 6, 7), 15), ((6,), 8), ((6,), 8), ((6,), 8), ((6,), 8), ((6,), 8)),
      (("u", (6, 11), True), ("u", (6, 11), True), ("d", (6,), True), ("d", (6,), True),
       ("d", (6,), True))),
     ((((), 1), ((), 1), ((), 1), ((0,), 3), ((), 1), ((), 1)),
@@ -522,17 +568,17 @@ GOLDEN = (
      (("u", (0, 6, 1, 2), False), ("u", (0, 2, 1, 3, 8), True), None, None, None)),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 2, 3, 5, 8), 65), ((1, 2, 4, 8), 20), ((1, 2, 4, 8), 21), ((1, 2, 8), 9),
-      ((1, 2, 8), 9), ((1, 2, 8), 9)),
+    ((((0, 1, 2, 3, 5, 8), 54), ((1, 2, 4, 8), 32), ((1, 2, 4, 8), 34), ((1, 2, 8), 20),
+      ((1, 2, 8), 20), ((1, 2, 8), 20)),
      (("u", (8, 24), True), ("u", (8, 24), True), ("d", (8,), True), ("d", (8,), True),
       ("d", (8,), True))),
-    ((((3,), 3), ((2,), 4), ((), 1), ((2,), 3), ((2,), 7), ((), 1)),
+    ((((3,), 6), ((2,), 6), ((), 1), ((2,), 5), ((2,), 9), ((), 1)),
      (("u", (2, 4, 5), False), None, ("d", (2, 4), False), ("d", (1, 4, 2), False),
       None)),
     ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 3), True), ("u", (0, 3), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 3), 5), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((0, 3), 6), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 5), True), ("u", (3, 5), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -540,64 +586,64 @@ GOLDEN = (
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 1), True), ("u", (0, 1), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 2), 4), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8)),
+    ((((0, 2), 5), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8)),
      (("u", (2, 9), True), ("u", (2, 9), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((1,), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((1,), 7), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3)),
      (("u", (0, 3), True), ("u", (0, 3), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 4), 17), ((0, 4), 6), ((0, 4), 6), ((4,), 2), ((4,), 2), ((4,), 2)),
+    ((((0, 1, 4), 13), ((0, 4), 9), ((0, 4), 9), ((4,), 6), ((4,), 6), ((4,), 6)),
      (("u", (4, 11), True), ("u", (4, 11), True), ("d", (4,), True), ("d", (4,), True),
       ("d", (4,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((3,), 9), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 1), ((3,), 12), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 3, 4), False), None, None, None, None)),
-    ((((0, 1, 2), 8), ((2, 3), 6), ((2, 3), 6), ((2, 3), 6), ((2, 3), 6), ((2, 3), 6)),
+    ((((0, 1, 2), 7), ((2, 3), 10), ((2, 3), 10), ((2, 3), 10), ((2, 3), 10), ((2, 3), 10)),
      (("u", (2, 4), True), ("u", (2, 4), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 2), 11), ((0, 1), 5), ((0, 1), 5), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0, 1, 2), 10), ((0, 1), 5), ((0, 1), 5), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 7), True), ("u", (0, 7), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1, 2, 5), 6), ((1, 2, 5), 11), ((1, 2, 5), 11), ((1, 2, 3), 5), ((1, 2), 3),
-      ((1, 2), 3)),
+    ((((1, 2, 5), 9), ((1, 2, 5), 14), ((1, 2, 5), 14), ((1, 2, 3), 6), ((1, 2), 4),
+      ((1, 2), 4)),
      (("u", (1, 11), True), ("u", (1, 11), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 2), 8), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0, 2), 9), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((3,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((3,), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2, 5), 11), ((1, 5), 29), ((1, 5), 16), ((3,), 3), ((), 1), ((), 1)),
+    ((((2, 5), 19), ((1, 5), 23), ((1, 5), 20), ((3,), 6), ((), 1), ((), 1)),
      (("u", (0, 1, 4), False), ("u", (3, 6, 9, 5), True), ("d", (3, 4), False), None,
       None)),
     ((((0, 1), 5), ((0, 1), 6), ((0, 1), 6), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 5), True), ("u", (0, 5), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((1, 2), 7), ((1, 2), 7), ((1, 2), 7), ((1, 2), 7), ((1, 2), 7), ((1, 2), 7)),
+    ((((1, 2), 10), ((1, 2), 10), ((1, 2), 10), ((1, 2), 10), ((1, 2), 10), ((1, 2), 10)),
      (("u", (0, 2, 5, 1), True), ("u", (0, 2, 5, 1), True), ("d", (1, 2), True),
       ("d", (1, 2), True), ("d", (1, 2), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2)),
+    ((((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
      (("u", (1, 5), True), ("u", (1, 5), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
@@ -605,7 +651,7 @@ GOLDEN = (
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((3, 5), 20), ((0, 1), 12), ((0, 1), 12), ((3,), 3), ((0,), 4), ((0,), 4)),
+    ((((3, 5), 23), ((0, 1), 8), ((0, 1), 8), ((3,), 6), ((0,), 4), ((0,), 4)),
      (("u", (0, 3, 6, 2), True), ("u", (0, 3, 6, 2), True), ("d", (3, 5), False),
       ("d", (0, 3, 5), True), ("d", (0, 3, 5), True))),
     ((((0,), 3), ((0,), 5), ((0,), 5), ((), 1), ((), 1), ((), 1)),
@@ -613,7 +659,7 @@ GOLDEN = (
     ((((0,), 2), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 2), 10), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4)),
+    ((((0, 1, 2), 8), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4), ((0, 1), 4)),
      (("u", (1, 8), True), ("u", (1, 8), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -627,15 +673,15 @@ GOLDEN = (
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((2,), 5), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2,), 3), ((0, 2), 14), ((2,), 7), ((0, 2), 7), ((0,), 4), ((0,), 4)),
+    ((((2,), 5), ((0, 2), 11), ((2,), 9), ((0, 2), 6), ((0,), 4), ((0,), 4)),
      (("u", (0, 1, 2), False), ("u", (0, 3, 6, 2), True), ("d", (0, 3), False),
       ("d", (0, 2, 3), True), ("d", (0, 2, 3), True))),
     ((((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((5,), 2), ((5,), 2), ((5,), 2), ((5,), 2), ((5,), 2), ((5,), 2)),
+    ((((5,), 7), ((5,), 7), ((5,), 7), ((5,), 7), ((5,), 7), ((5,), 7)),
      (("u", (5, 6), True), ("u", (5, 6), True), ("d", (5,), True), ("d", (5,), True),
       ("d", (5,), True))),
     ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
@@ -645,56 +691,56 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((0, 1), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 2, 4, 5), 15), ((2, 3, 5), 6), ((2, 3, 5), 6), ((2, 5), 3), ((2, 5), 3),
-      ((2, 5), 3)),
+    ((((0, 2, 4, 5), 20), ((2, 3, 5), 13), ((2, 3, 5), 13), ((2, 5), 9), ((2, 5), 9),
+      ((2, 5), 9)),
      (("u", (2, 10), True), ("u", (2, 10), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((3, 4, 5, 7), 33), ((0, 1, 4), 14), ((0, 1, 4), 14), ((0, 4), 7), ((0, 4), 7),
-      ((0, 4), 7)),
+    ((((3, 4, 5, 7), 62), ((0, 1, 4), 13), ((0, 1, 4), 13), ((0, 4), 9), ((0, 4), 9),
+      ((0, 4), 9)),
      (("u", (4, 16), True), ("u", (4, 16), True), ("d", (4,), True), ("d", (4,), True),
       ("d", (4,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 2), 6), ((2,), 4), ((2,), 4), ((), 1), ((), 1), ((), 1)),
+    ((((0, 2), 7), ((2,), 6), ((2,), 6), ((), 1), ((), 1), ((), 1)),
      (("u", (2, 11, 5, 3, 8), True), ("u", (2, 11, 5, 3, 8), True), None, None, None)),
     ((((), 1), ((0,), 5), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 3, 1, 2), False), None, None, None, None)),
     ((((0,), 3), ((0,), 4), ((0,), 4), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 7, 1, 4, 8), True), ("u", (0, 7, 1, 4, 8), True), None, None, None)),
-    ((((0, 1, 3, 4, 5), 34), ((1, 2, 3, 4), 11), ((1, 2, 3, 4), 11), ((1, 3, 4), 5),
-      ((1, 3, 4), 5), ((1, 3, 4), 5)),
+    ((((0, 1, 3, 4, 5), 34), ((1, 2, 3, 4), 13), ((1, 2, 3, 4), 13), ((1, 3, 4), 8),
+      ((1, 3, 4), 8), ((1, 3, 4), 8)),
      (("u", (1, 8), True), ("u", (1, 8), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2), ((2,), 2)),
+    ((((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4)),
      (("u", (2, 3), True), ("u", (2, 3), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((1, 2, 4, 5, 6), 48), ((1, 2, 3, 5, 6), 39), ((1, 2, 3, 5, 6), 39),
-      ((1, 2, 3, 5, 6), 39), ((1, 2, 3, 5, 6), 39), ((1, 2, 3, 5, 6), 39)),
+    ((((1, 2, 4, 5, 6), 78), ((1, 2, 3, 5, 6), 53), ((1, 2, 3, 5, 6), 53),
+      ((1, 2, 3, 5, 6), 53), ((1, 2, 3, 5, 6), 53), ((1, 2, 3, 5, 6), 53)),
      (("u", (1, 4, 13), True), ("u", (1, 4, 13), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
-    ((((0, 1, 2, 3), 20), ((0, 1, 2, 3), 13), ((0, 1, 2, 3), 13), ((0, 1, 2, 3), 14),
-      ((0, 1, 2, 3), 13), ((0, 1, 2, 3), 13)),
+    ((((0, 1, 2, 3), 22), ((0, 1, 2, 3), 11), ((0, 1, 2, 3), 11), ((0, 1, 2, 3), 11),
+      ((0, 1, 2, 3), 11), ((0, 1, 2, 3), 11)),
      (("u", (0, 7), True), ("u", (0, 7), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((1,), 4), ((), 1), ((1,), 3), ((), 1), ((), 1)),
+    ((((), 1), ((1,), 5), ((), 1), ((1,), 4), ((), 1), ((), 1)),
      (("u", (1, 2, 3), False), None, ("d", (1, 2), False), None, None)),
-    ((((0,), 3), ((0, 2), 12), ((0,), 4), ((1, 2), 5), ((), 1), ((), 1)),
+    ((((0,), 3), ((0, 2), 7), ((0,), 4), ((1, 2), 6), ((), 1), ((), 1)),
      (("u", (2, 4, 5), False), ("u", (0, 7, 1, 6), True), ("d", (1, 6), False), None,
       None)),
     ((((0, 1), 4), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3), ((0, 1), 3)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 3, 4), 22), ((1, 3, 4), 22), ((1, 3, 4), 22), ((1, 3, 4), 22),
-      ((1, 3, 4), 22), ((1, 3, 4), 22)),
+    ((((0, 1, 3, 4), 22), ((1, 3, 4), 27), ((1, 3, 4), 27), ((1, 3, 4), 27),
+      ((1, 3, 4), 27), ((1, 3, 4), 27)),
      (("u", (0, 10, 1, 8), True), ("u", (0, 10, 1, 8), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((2,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 1), ((2,), 6), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (2, 3, 4), False), None, None, None, None)),
     ((((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
@@ -702,35 +748,35 @@ GOLDEN = (
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1), 7), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
+    ((((0, 1), 5), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 4, 8), True), ("u", (1, 4, 8), True), ("d", (1, 4), True),
       ("d", (1, 4), True), ("d", (1, 4), True))),
-    ((((0, 1), 7), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2)),
+    ((((0, 1), 5), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
      (("u", (1, 5), True), ("u", (1, 5), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((1,), 5), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2)),
+    ((((1,), 6), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
      (("u", (1, 6), True), ("u", (1, 6), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((0, 1, 3, 4, 5), 29), ((0, 1, 2, 3, 4), 8), ((0, 1, 2, 3, 4), 8),
-      ((0, 1, 3, 4), 5), ((0, 1, 3, 4), 5), ((0, 1, 3, 4), 5)),
+    ((((0, 1, 3, 4, 5), 30), ((0, 1, 2, 3, 4), 8), ((0, 1, 2, 3, 4), 8),
+      ((0, 1, 3, 4), 7), ((0, 1, 3, 4), 7), ((0, 1, 3, 4), 7)),
      (("u", (0, 9), True), ("u", (0, 9), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 2), 9), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3), ((0, 2), 3)),
+    ((((0, 1, 2), 7), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4), ((0, 2), 4)),
      (("u", (0, 5), True), ("u", (0, 5), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1), 8), ((0, 1), 8), ((0, 1), 8), ((0, 1), 8), ((0, 1), 8), ((0, 1), 8)),
+    ((((0, 1), 6), ((0, 1), 6), ((0, 1), 6), ((0, 1), 6), ((0, 1), 6), ((0, 1), 6)),
      (("u", (0, 3, 1, 5), True), ("u", (0, 3, 1, 5), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
-    ((((0, 6), 9), ((0, 5, 6), 23), ((0, 6), 16), ((0, 5), 7), ((0, 5), 9),
-      ((0, 5), 8)),
+    ((((0, 6), 12), ((0, 5, 6), 27), ((0, 6), 17), ((0, 5), 11), ((0, 5), 10),
+      ((0, 5), 10)),
      (("u", (5, 6, 10), True), ("u", (5, 6, 10), True), ("d", (0, 2), False),
       ("d", (5, 6), True), ("d", (5, 6), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1), 6), ((0, 1, 5), 21), ((0, 1), 8), ((0, 1, 5), 11), ((1, 4), 8),
-      ((1,), 3)),
+    ((((0, 1), 5), ((0, 1, 5), 20), ((0, 1), 6), ((0, 1, 5), 12), ((1, 4), 11),
+      ((1,), 4)),
      (("u", (1, 3, 11), True), ("u", (1, 3, 11), True), ("d", (0, 4), False),
       ("d", (1, 3), True), ("d", (1, 3), True))),
     ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
@@ -738,18 +784,18 @@ GOLDEN = (
       ("d", (0,), True))),
     ((((), 1), ((0,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 1, 3), False), None, None, None, None)),
-    ((((3,), 4), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((3,), 7), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 6), True), ("u", (3, 6), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 2, 4), 27), ((0, 1, 2, 4), 45), ((0, 1, 2, 4), 45), ((0, 2), 7),
-      ((0, 2), 7), ((0, 2), 7)),
+    ((((0, 1, 2, 4), 18), ((0, 1, 2, 4), 22), ((0, 1, 2, 4), 22), ((0, 2), 6),
+      ((0, 2), 6), ((0, 2), 6)),
      (("u", (0, 5, 10), True), ("u", (0, 5, 10), True), ("d", (0, 5), True),
       ("d", (0, 5), True), ("d", (0, 5), True))),
-    ((((0, 1, 3), 12), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2), ((1,), 2)),
+    ((((0, 1, 3), 10), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3), ((1,), 3)),
      (("u", (1, 11), True), ("u", (1, 11), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -761,45 +807,45 @@ GOLDEN = (
       ("d", (0,), True))),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 3, 4), 16), ((0, 1, 3), 6), ((0, 1, 3), 6), ((1, 3), 3), ((1, 3), 3),
-      ((1, 3), 3)),
+    ((((0, 1, 3, 4), 20), ((0, 1, 3), 7), ((0, 1, 3), 7), ((1, 3), 5), ((1, 3), 5),
+      ((1, 3), 5)),
      (("u", (1, 7), True), ("u", (1, 7), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((0, 3), 8), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((0, 3), 7), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 8), True), ("u", (3, 8), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((4, 9), 9), ((2, 6, 9), 78), ((4, 9), 46), ((0, 2, 3), 15), ((0, 2), 13),
-      ((2,), 6)),
+    ((((4, 9), 23), ((2, 6, 9), 86), ((4, 9), 46), ((0, 2, 3), 12), ((0, 2), 8),
+      ((2,), 8)),
      (("u", (0, 1, 6), False), ("u", (2, 4, 10, 6), True), ("d", (2, 3), False),
       ("d", (0, 1, 9), False), ("d", (2, 3, 7, 9, 5), True))),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((), 1), ((2,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 1), ((2,), 6), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (2, 4, 5), False), None, None, None, None)),
-    ((((1, 3), 8), ((0, 2), 10), ((0, 2), 11), ((0,), 3), ((0,), 4), ((), 1)),
+    ((((1, 3), 9), ((0, 2), 8), ((0, 2), 8), ((0,), 3), ((0,), 4), ((), 1)),
      (("u", (0, 2, 4), False), ("u", (0, 2, 3, 5), True), ("d", (0, 4), False),
       ("d", (0, 2, 4), False), None)),
-    ((((3,), 3), ((3,), 3), ((3,), 3), ((3,), 3), ((3,), 3), ((3,), 3)),
+    ((((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6)),
      (("u", (3, 7, 4, 6), True), ("u", (3, 7, 4, 6), True), ("d", (3, 4), True),
       ("d", (3, 4), True), ("d", (3, 4), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 2), 14), ((1, 3), 9), ((1, 3), 9), ((1,), 3), ((1,), 3), ((1,), 3)),
+    ((((0, 1, 2), 10), ((1, 3), 13), ((1, 3), 13), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 2, 5), True), ("u", (1, 2, 5), True), ("d", (1, 2), True),
       ("d", (1, 2), True), ("d", (1, 2), True))),
-    ((((1,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((1,), 4), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 2), 7), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((0, 2), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0, 1, 2, 4, 6), 33), ((0, 1, 2, 4), 19), ((0, 1, 2, 4), 19), ((0, 1, 2), 8),
-      ((0, 1, 2), 8), ((0, 1, 2), 8)),
+    ((((0, 1, 2, 4, 6), 29), ((0, 1, 2, 4), 12), ((0, 1, 2, 4), 12), ((0, 1, 2), 7),
+      ((0, 1, 2), 7), ((0, 1, 2), 7)),
      (("u", (1, 11), True), ("u", (1, 11), True), ("d", (1,), True), ("d", (1,), True),
       ("d", (1,), True))),
-    ((((0, 2, 3), 11), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2), ((3,), 2)),
+    ((((0, 2, 3), 13), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 11), True), ("u", (3, 11), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
     ((((0,), 4), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
@@ -810,20 +856,20 @@ GOLDEN = (
     ((((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
      (("u", (0, 10, 1), True), ("u", (0, 10, 1), True), ("d", (0, 1), True),
       ("d", (0, 1), True), ("d", (0, 1), True))),
-    ((((0, 1, 2, 5, 6), 59), ((0, 1, 2, 6), 35), ((0, 1, 2, 6), 35), ((0, 5, 6), 16),
-      ((0, 5, 6), 18), ((0, 5, 6), 18)),
+    ((((0, 1, 2, 5, 6), 43), ((0, 1, 2, 6), 15), ((0, 1, 2, 6), 15), ((0, 5, 6), 16),
+      ((0, 5, 6), 14), ((0, 5, 6), 20)),
      (("u", (1, 5, 11), True), ("u", (1, 5, 11), True), ("d", (0, 1), False),
       ("d", (0, 3), True), ("d", (1, 5), True))),
-    ((((2, 4, 6), 13), ((2, 4, 6), 24), ((2, 4, 6), 24), ((1, 4, 6), 17),
-      ((1, 4, 6), 17), ((1, 4, 6), 17)),
+    ((((2, 4, 6), 25), ((2, 4, 6), 29), ((2, 4, 6), 29), ((1, 4, 6), 21),
+      ((1, 4, 6), 21), ((1, 4, 6), 21)),
      (("u", (1, 2, 10), True), ("u", (1, 2, 10), True), ("d", (1, 2), True),
       ("d", (1, 2), True), ("d", (1, 2), True))),
-    ((((0, 1, 2, 3, 9), 47), ((0, 1, 3, 9), 17), ((0, 1, 3, 9), 19),
-      ((0, 1, 3, 4, 9), 38), ((0, 1, 3, 9), 17), ((0, 1, 3, 9), 19)),
+    ((((0, 1, 2, 3, 9), 36), ((0, 1, 3, 9), 27), ((0, 1, 3, 9), 27),
+      ((0, 1, 3, 4, 9), 42), ((0, 1, 3, 9), 27), ((0, 1, 3, 9), 27)),
      (("u", (0, 1, 2), False), ("u", (0, 1, 4, 10), True), ("d", (0, 4), True),
       ("d", (0, 4), True), ("d", (0, 4), True))),
-    ((((0, 2, 3, 5, 6), 45), ((0, 1, 2, 5), 21), ((0, 1, 2, 5), 20), ((1, 2, 7), 12),
-      ((1, 2, 7), 12), ((1, 2, 7), 12)),
+    ((((0, 2, 3, 5, 6), 40), ((0, 1, 2, 5), 22), ((0, 1, 2, 5), 20), ((1, 2, 7), 17),
+      ((1, 2, 7), 17), ((1, 2, 7), 17)),
      (("u", (2, 16), True), ("u", (2, 16), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -832,10 +878,10 @@ GOLDEN = (
      (("u", (0, 1, 2), False), None, ("d", (0, 1), False), None, None)),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4)),
+    ((((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6)),
      (("u", (2, 8), True), ("u", (2, 8), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((1,), 3), ((0,), 4), ((0,), 4), ((0,), 3), ((), 1), ((), 1)),
+    ((((1,), 4), ((0,), 4), ((0,), 4), ((0,), 3), ((), 1), ((), 1)),
      (("u", (0, 4, 1, 2), True), ("u", (0, 4, 1, 2), True), ("d", (0, 3), False), None,
       None)),
 )
