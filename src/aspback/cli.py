@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,7 +4,8 @@ Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
 The rules without atoms of x are closed once into a shared least model B; per tau
 only the surviving rules that touch x are switched on and propagation goes on from
-B.  Only rules with their head inside x (constraints too) can fail the model test.
+B.  Only rules with their head inside x (constraints too) can fail the model test;
+tau's mask alone decides those with their body in x and B, before any propagation.
 If no surviving rule of the GL reduct P^M keeps two head atoms (true of every normal
 program), M is minimal iff it is the least model of P^M's definite part, one more
 propagation; otherwise subsets of M n x are scanned, one Horn propagation each.
@@ -28,6 +29,7 @@ ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20
 
 ACCEPTED, FAILED_MODEL, FAILED_MINIMAL = range(3)
+_forked: dict[str, _Evaluator] = {}  # filled once per forked pool worker, by its initializer
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ class _Evaluator:
         # a negative body meeting B satisfies the rule and drops it from P^M
         self.checks = [(hm, pm, nm, pos - self.base, neg, i)
                        for hm, pm, nm, pos, neg, i in checks if self.base.isdisjoint(neg)]
+        # (pos, head | neg) masks of the checks that the assignment alone decides
+        self.decided = [(pm, hm | nm) for hm, pm, nm, p, n, _ in self.checks if not p | n]
 
     def _close(self, on: list[int], seeds: list[int], counts=None) -> set[int]:
         """Atoms derived outside B once the rules `on` are switched on and the
@@ -127,6 +131,10 @@ class _Evaluator:
         """M \\ B for the candidate M = L u tau^-1(1) of the assignment t."""
         on = [i for i, hm, nm in self.gated if not (hm | nm) & t]
         return self._close(on, self.true_atoms(t))
+
+    def refuted(self, t: int) -> bool:
+        """Does t alone violate a check, making its pos mask true, the rest false?"""
+        return any(not pm & ~t and not hnm & t for pm, hnm in self.decided)
 
     def models(self, t: int, new: set[int]) -> bool:
         """Does the candidate B u new of t satisfy the rules with head inside x?"""
@@ -168,11 +176,11 @@ class _Evaluator:
         return not any(_submodel_at(surv, self.xset, mm, m_minus_x, x1) for x1 in order)
 
     def run(self, lo: int, hi: int):
-        """(t, M \\ B, verdict) for every assignment t in [lo, hi), in order."""
+        """(verdict, M \\ B or None if the mask refutes t) for each t in [lo, hi)."""
         for t in range(lo, hi):
-            new = self.closure(t)
-            yield t, new, (FAILED_MODEL if not self.models(t, new) else
-                           FAILED_MINIMAL if not self.minimal(t, new) else ACCEPTED)
+            new = None if self.refuted(t) else self.closure(t)
+            yield (FAILED_MODEL if new is None or not self.models(t, new) else
+                   FAILED_MINIMAL if not self.minimal(t, new) else ACCEPTED), new
 
 
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
@@ -181,9 +189,9 @@ def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     if len(ev.dom) > MATERIALIZE_GUARD:
         raise ValueError(f"refusing to materialize 2^{len(ev.dom)} candidates")
     out = []
-    for t, new, _ in ev.run(0, 1 << len(ev.dom)):
+    for t in range(1 << len(ev.dom)):
         tau = TruthAssignment({a: t >> i & 1 for i, a in enumerate(ev.dom)})
-        combined = ev.base | new
+        combined = ev.base | ev.closure(t)
         out.append(Candidate(tau, combined.difference(ev.true_atoms(t)), combined))
     return tuple(out)
 
@@ -196,6 +204,8 @@ def check_answer_set(p: Program, x, m) -> bool:
     ev = _Evaluator(p, x)
     mm = check_atoms(p, m, "interpretation")
     t = sum(1 << i for i, a in enumerate(ev.dom) if a in mm)
+    if ev.refuted(t):
+        return False
     new = ev.closure(t)
     return ev.base | new == mm and ev.models(t, new) and ev.minimal(t, new)
 
@@ -212,11 +222,15 @@ def _tally(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[i
     """Model failures, minimality failures and answer sets over [lo, hi)."""
     failed = [0, 0, 0]
     accepted = []
-    for _, new, verdict in ev.run(lo, hi):
+    for verdict, new in ev.run(lo, hi):
         failed[verdict] += 1
         if verdict == ACCEPTED:
             accepted.append(ev.base | new)
     return failed[FAILED_MODEL], failed[FAILED_MINIMAL], accepted
+
+
+def _forked_tally(lo: int, hi: int):
+    return _tally(_forked["ev"], lo, hi)
 
 
 def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
@@ -234,10 +248,10 @@ def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
     else:
         jobs = min(jobs, total)
         bounds = [total * i // (jobs * 4) for i in range(jobs * 4 + 1)]
-        ranges = [(ev, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            parts = pool.starmap(_tally, ranges)
+        with ctx.Pool(jobs, _forked.__setitem__, ("ev", ev)) as pool:
+            parts = pool.starmap(_forked_tally, ranges)
     sets = frozenset(s for _, _, chunk in parts for s in chunk)
     return EvalReport(frozenset(ev.dom), sets, total,
                       sum(part[0] for part in parts), sum(part[1] for part in parts))

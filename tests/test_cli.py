@@ -151,6 +151,17 @@ def test_solve_consistency_exit_codes(capsys, ex1_file, tmp_path):
     assert code3 == 0 and out3 == "inconsistent\n"
 
 
+def test_recursion_error_exits_with_error_code(capsys, tmp_path):
+    # the vertex-cover search recurses once per branch level; running out of
+    # stack must not read as exit 1, which solve uses for "inconsistent"
+    f = tmp_path / "path.lp"
+    f.write_text("".join(f"a{i} | a{i + 1}.\n" for i in range(2099)))
+    for argv in (("solve", str(f), "--mode", "consistency"),
+                 ("backdoor", str(f), "--target", "horn")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_solve_modes(capsys, ex1_file):
     assert run(capsys, "solve", ex1_file, "--mode", "count") == (0, "1\n", "")
     code, out, _ = run(capsys, "solve", ex1_file, "--mode", "brave", "--atom", "t")

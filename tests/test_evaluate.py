@@ -102,12 +102,14 @@ def test_parallel_matches_serial(ex1, ex1_ids):
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
-    # a pool that records its size and maps inline, so no process starts
+    # a pool that records its size, runs its initializer and maps inline, so
+    # no process starts
     sizes = []
 
     class FakePool:
-        def __init__(self, n):
+        def __init__(self, n, initializer, initargs):
             sizes.append(n)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -121,6 +123,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(evaluate.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluate, "_forked", {})  # the initializer runs in this process
     k = 10
     p = parse_program(_loops(k, "g{i} :- not g{i}."))
     x = {p.atom_id(f"g{i}") for i in range(k)}
@@ -213,6 +216,20 @@ def test_rejection_split_odd_loops(jobs):
     assert rep.candidates_rejected == 2 ** k
 
 
+def test_refuted_candidates_never_closed(monkeypatch):
+    # g_i :- not g_i lies inside x, so the mask refutes every assignment but
+    # the all-true one before any propagation
+    closed = []
+    closure = _Evaluator.closure
+    monkeypatch.setattr(_Evaluator, "closure",
+                        lambda self, t: closed.append(t) or closure(self, t))
+    k = 9
+    p = parse_program(_loops(k, "g{i} :- not g{i}."))
+    rep = answer_sets(p, {p.atom_id(f"g{i}") for i in range(k)})
+    assert closed == [2 ** k - 1]
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
+
+
 def test_rejection_split_even_loops():
     k = 5
     p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
@@ -238,16 +255,22 @@ def _mixed_program(rng: random.Random, n: int):
 
 def test_matches_brute_on_disjunctive_corpus(monkeypatch):
     # random_program output is always normal; this corpus reaches the subset
-    # scan, which only reducts with two or more head atoms still need
-    scans = []
-    scan = _Evaluator.scan
+    # scan, which only reducts with two or more head atoms still need, and the
+    # mask refutation of rules whose head and body lie inside x
+    scans, closed = [], []
+    scan, closure = _Evaluator.scan, _Evaluator.closure
     monkeypatch.setattr(_Evaluator, "scan",
                         lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
+    monkeypatch.setattr(_Evaluator, "closure",
+                        lambda self, t: closed.append(t) or closure(self, t))
     rng = random.Random(2013)
+    refuted = 0
     for _ in range(300):
         p = _mixed_program(rng, rng.randint(1, 10))
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
+        closed.clear()
         rep = answer_sets(p, x)
+        refuted += rep.candidates_total - len(closed)
         assert rep.answer_sets == frozenset(brute_answer_sets(p))
         non_models = 0
         for c in candidate_sets(p, x):
@@ -255,6 +278,7 @@ def test_matches_brute_on_disjunctive_corpus(monkeypatch):
             non_models += not is_model(p, c.combined)
         assert rep.failed_model == non_models
     assert len(scans) > 500
+    assert refuted > 0
 
 
 def test_one_propagation_matches_subset_scan(monkeypatch):
