@@ -3,23 +3,29 @@
 Detection for the Horn target reduces to minimum vertex cover of the conflict
 graph (two atoms clash when a non-tautological rule puts both in the head, or
 one in the head and one in the negative body).  Self-loop atoms join the cover
-first; each connected component of the rest is then searched on its own with
-the bounded search tree of FPT vertex cover: branch on a maximum-degree vertex
-or on all of its neighbours, and prune by a greedy matching, the one lower
-bound.  Deletion detection branches on head atoms of normality-violating
-rules and on atom vertices of forbidden cycles, over deletion masks of the
-program compiled into rule bitmasks; one memo maps each mask to its
-violation (one pass over the rule masks, then a component pass over the
-dependency graph).  A size pass prunes ties and gives the optimum size; a
-lexicographic pass then keeps each atom, in ascending order, that some
-optimal solution holds together with the atoms kept so far: free when the
-current witness holds it, else by a search that stops at its first solution,
-the new witness.  A skipped atom need not be forbidden later: an optimal
-solution holding it would have passed its test.  Nodes are pruned by a
-greedy packing of atom-disjoint violations, sound only until a packed
-violation meets an atom whose deletion can wake a tautological rule; the
-packing stops there.  All searches are exact and return the minimum witness
-whose sorted id-vector is lexicographically smallest.
+first; each connected component of the rest is then searched on its own, on
+int masks over its vertices, with the bounded search tree of FPT vertex cover
+kept on an explicit stack: drop degree-0 vertices and take the neighbour of
+each degree-1 vertex, take any vertex once only cycles are left, else branch
+on a maximum-degree vertex or on all of its neighbours; a greedy matching is
+the lower bound.  Deletion detection branches on head atoms of
+normality-violating rules and on atom vertices of forbidden cycles, over
+deletion masks of the program compiled into rule bitmasks; one memo maps
+each mask to its violation (one pass over the rule masks, then a component
+pass over the dependency graph).  Its nodes are pruned by a greedy packing of
+atom-disjoint violations, sound only until a packed violation meets an atom
+whose deletion can wake a tautological rule; the packing stops there.
+
+Both searches run in two passes.  A size pass prunes ties and gives the
+optimum size; a lexicographic pass then keeps each atom, in ascending order,
+that some optimal solution holds together with the atoms kept so far: free
+when the current witness holds it, else by a search that stops at its first
+solution, the new witness.  A skipped atom need not be forbidden later: an
+optimal solution holding it would have passed its test.  The vertex-cover
+kernels may reach any of the tied optima, which is safe because each pass
+asks only for a size or for a first solution.  All searches are exact and
+return the minimum witness whose sorted id-vector is lexicographically
+smallest.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from itertools import combinations
 
 from .depgraph import _components
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atoms_of, in_target_class, rule_flags, violation)
+                      atom_mask, atoms_of, in_target_class, rule_flags,
+                      violation)
 from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
 # not called here, but perfbench/tracer.py wraps detect.core and
 # detect.witness_cycle by these names
@@ -71,69 +78,107 @@ def horn_conflict_graph(p: Program) -> ConflictGraph:
 # ---------------------------------------------------------------------------
 # exact minimum vertex cover
 
-def _matching_lb(adj: dict[int, set[int]]) -> int:
-    """Edges in a greedy maximal matching: every cover takes one end of each."""
-    matched: set[int] = set()
-    for v in sorted(adj):
-        if v in matched:
+def _matching_lb(adj: list[int], alive: int) -> int:
+    """Edges in a greedy maximal matching of the alive vertices, each matched
+    to its lowest unmatched neighbour: every cover takes one end of each."""
+    count = 0
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        nb = adj[low.bit_length() - 1] & alive
+        if nb:
+            alive ^= nb & -nb
+            count += 1
+    return count
+
+
+def _kernel(adj: list[int], alive: int, chosen: int) -> tuple[int, int]:
+    """Drop degree-0 vertices and take the neighbour of each degree-1 vertex,
+    to a fixpoint; a worklist revisits only vertices whose degree fell."""
+    work = alive
+    while work:
+        low = work & -work
+        work ^= low
+        nb = adj[low.bit_length() - 1] & alive
+        if nb & (nb - 1) or not low & alive:
             continue
-        for w in sorted(adj[v]):
-            if w not in matched:
-                matched.update((v, w))
-                break
-    return len(matched) // 2
+        alive ^= low | nb
+        chosen |= nb
+        if nb:
+            work |= adj[nb.bit_length() - 1] & alive
+    return alive, chosen
 
 
-class _VCSearch:
-    """Branch and bound on one connected component.
+def _vc_search(adj: list[int], alive: int, best: int,
+               first: bool) -> tuple[int | None, int]:
+    """Depth-first branch and bound on an explicit stack of (alive, chosen)
+    masks: the smallest cover of the alive vertices with fewer than best of
+    them (ties pruned), or with first the first one found; and the nodes."""
+    found, nodes, stack = None, 0, [(alive, 0)]
+    while stack:
+        alive, chosen = stack.pop()
+        nodes += 1
+        alive, chosen = _kernel(adj, alive, chosen)
+        size = chosen.bit_count()
+        if not alive:
+            if size < best:
+                found, best = chosen, size
+                if first:
+                    break
+            continue
+        if size + _matching_lb(adj, alive) >= best:
+            continue
+        # a maximum-degree vertex, the smallest on ties
+        v = max(atoms_of(alive), key=lambda u: (adj[u] & alive).bit_count())
+        nv, bit = adj[v] & alive, 1 << v
+        if nv.bit_count() > 2:
+            stack.append((alive & ~nv, chosen | nv))
+        # with no vertex above degree 2 what is left is disjoint cycles, and
+        # some minimum cover holds any given vertex: take v without branching
+        stack.append((alive ^ bit, chosen | bit))
+    return found, nodes
 
-    Branches on a maximum-degree vertex v, the smallest on ties: either v
-    joins the cover or all of its neighbors do.  A node is pruned when its
-    cover plus the greedy matching bound of what is left exceeds the budget
-    (the bound given, or the best size found so far).  Ties at the best size
-    are explored, so the final cover is the lexicographically smallest
-    minimum one.
-    """
 
-    def __init__(self, adj: dict[int, set[int]], budget: int):
-        self.adj = adj
-        self.budget = budget
-        self.best: tuple[int, tuple[int, ...]] | None = None
-        self.nodes = 0
-
-    def _remove_vertex(self, v: int, trail: list) -> None:
-        ns = self.adj.pop(v)
-        for w in ns:
-            s = self.adj[w]
-            s.discard(v)
-            if not s:
-                del self.adj[w]
-        trail.append((v, ns))
-
-    def _undo(self, trail: list) -> None:
-        for v, ns in reversed(trail):
-            self.adj[v] = ns
-            for w in ns:
-                self.adj.setdefault(w, set()).add(v)
-        trail.clear()
-
-    def search(self, chosen: list[int]) -> None:
-        self.nodes += 1
-        if not self.adj:
-            cand = (len(chosen), tuple(sorted(chosen)))
-            if cand[0] <= self.budget and (self.best is None or cand < self.best):
-                self.best = cand
-            return
-        budget = self.budget if self.best is None else min(self.budget, self.best[0])
-        if len(chosen) + _matching_lb(self.adj) > budget:
-            return
-        v = max(sorted(self.adj), key=lambda u: len(self.adj[u]))
-        trail: list = []
-        for branch in ([v], sorted(self.adj[v])):
-            for w in branch:
-                self._remove_vertex(w, trail)
-            self.search(chosen + branch)
-            self._undo(trail)
+def _vc_component(adj: list[int], budget: int) -> tuple[int | None, int]:
+    """Lexicographically smallest minimum cover (a mask) of one component
+    within budget, and the nodes of both passes.  The lexicographic pass
+    keeps a maximal matching of the vertices not yet kept, built from the
+    highest vertex down so that a tested vertex is often matched to a lower,
+    kept one and so free: a test fails without a search when its graph keeps
+    as many matched edges as the cover has places left."""
+    full = (1 << len(adj)) - 1
+    cover, nodes = _vc_search(adj, full, budget + 1, False)
+    if cover is None:
+        return None, nodes
+    mate, pairs, rest = [-1] * len(adj), 0, full
+    while rest:
+        u = rest.bit_length() - 1
+        rest ^= 1 << u
+        nb = adj[u] & rest
+        if nb:
+            w = nb.bit_length() - 1
+            rest ^= 1 << w
+            mate[u], mate[w] = w, u
+            pairs += 1
+    kept = 0
+    for v in range(len(adj)):
+        left = cover.bit_count() - kept.bit_count()
+        if not left:
+            break
+        bit = 1 << v
+        if not cover & bit:
+            if not adj[v] & ~kept or pairs - (mate[v] >= 0) >= left:
+                continue
+            found, n = _vc_search(adj, full & ~(kept | bit), left, True)
+            nodes += n
+            if found is None:
+                continue
+            cover = kept | bit | found
+        kept |= bit
+        if mate[v] >= 0:
+            mate[mate[v]] = -1
+            pairs -= 1
+    return kept, nodes
 
 
 def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int]:
@@ -149,33 +194,33 @@ def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int
         adj.setdefault(b, set()).add(a)
 
     # adj is symmetric, so its strongly connected components are the
-    # connected ones; they come out ordered by their smallest vertex
+    # connected ones; they come out ordered by their smallest vertex, and
+    # each is relabelled 0..m-1 in ascending atom order
     label = _components(adj)
-    comps: dict[int, dict[int, set[int]]] = {}
+    comps: dict[int, list[int]] = {}
     for v in sorted(adj):
-        comps.setdefault(label[v], {})[v] = adj[v]
-    comp_adjs = list(comps.values())
-    match_lbs = [_matching_lb(ca) for ca in comp_adjs]
+        comps.setdefault(label[v], []).append(v)
+    comp_adjs = []
+    for vs in comps.values():
+        index = {v: i for i, v in enumerate(vs)}
+        comp_adjs.append((vs, [atom_mask(index[w] for w in adj[v]) for v in vs]))
+    match_lbs = [_matching_lb(ca, (1 << len(ca)) - 1) for _, ca in comp_adjs]
 
     remaining = (k - len(forced)) if k is not None else None
     cover: list[int] = list(forced)
-    nodes = 0
-    for i, ca in enumerate(comp_adjs):
-        if remaining is None:
-            budget = len(ca)
-        else:
-            budget = remaining - sum(match_lbs[i + 1:])
-            if budget < 0:
-                return None, nodes
-            budget = min(budget, len(ca))
-        solver = _VCSearch(ca, budget)
-        solver.search([])
-        nodes += solver.nodes
-        if solver.best is None:
+    nodes, later = 0, sum(match_lbs)
+    for (vs, ca), lb in zip(comp_adjs, match_lbs):
+        later -= lb  # the bound of the components after this one
+        budget = len(ca) if remaining is None else remaining - later
+        if budget < 0:
             return None, nodes
-        cover.extend(solver.best[1])
+        found, n = _vc_component(ca, budget)
+        nodes += n
+        if found is None:
+            return None, nodes
+        cover.extend(vs[j] for j in atoms_of(found))
         if remaining is not None:
-            remaining -= solver.best[0]
+            remaining -= found.bit_count()
     return frozenset(cover), nodes
 
 
@@ -332,9 +377,13 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
 
     Horn strong: minimum vertex cover of the conflict graph.  Deletion (any
     target): violation-hitting branch and bound.  Strong acyclicity targets:
-    bounded exhaustive search (desk scale).
+    bounded exhaustive search (desk scale).  Without tautological rules,
+    which deletion could wake, the deletion Horn backdoors are the covers
+    of the conflict graph too, so Horn deletion takes the cover search.
     """
-    if query.target is TargetClass.HORN and query.kind == "strong":
+    if query.target is TargetClass.HORN and (
+            query.kind == "strong"
+            or not any(rule_flags(r).tautological for r in p.rules)):
         witness, nodes = _vc_min(horn_conflict_graph(p), query.k)
     elif query.kind == "deletion":
         witness, nodes = _deletion_search(p, query.target, query.k)

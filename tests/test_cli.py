@@ -151,11 +151,22 @@ def test_solve_consistency_exit_codes(capsys, ex1_file, tmp_path):
     assert code3 == 0 and out3 == "inconsistent\n"
 
 
-def test_recursion_error_exits_with_error_code(capsys, tmp_path):
-    # the vertex-cover search recurses once per branch level; running out of
-    # stack must not read as exit 1, which solve uses for "inconsistent"
+def test_recursion_error_exits_with_error_code(capsys, tmp_path, monkeypatch):
+    # a 2100-atom conflict path gets its cover, which is too large to solve by
     f = tmp_path / "path.lp"
     f.write_text("".join(f"a{i} | a{i + 1}.\n" for i in range(2099)))
+    code, out, err = run(capsys, "backdoor", str(f), "--target", "horn")
+    assert (code, err) == (0, "")
+    assert out == "{" + ", ".join(sorted(f"a{i}" for i in range(0, 2100, 2))) + "}\n"
+    code, out, err = run(capsys, "solve", str(f), "--mode", "consistency")
+    assert code == 2 and out == "" and err.startswith("error: backdoor too large")
+
+    # running out of stack must not read as exit 1, which solve uses for
+    # "inconsistent"
+    def deep(*_):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("aspback.cli.find_backdoor", deep)
     for argv in (("solve", str(f), "--mode", "consistency"),
                  ("backdoor", str(f), "--target", "horn")):
         code, out, err = run(capsys, *argv)

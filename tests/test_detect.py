@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -207,6 +208,58 @@ def test_deletion_search_deep_witness_iterative():
     assert r.witness == frozenset(range(1100)) and r.nodes_explored == 1101
 
 
+def test_vertex_cover_deep_inputs_iterative():
+    # a 2100-atom conflict path and a 2101-atom conflict cycle: the search
+    # neither recurses nor explores the many tied covers
+    path = "".join(f"a{i} | a{i + 1}.\n" for i in range(2099))
+    cycle = "".join(f"a{i} | a{i + 1}.\n" for i in range(2100)) + "a2100 | a0.\n"
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = [find_backdoor(parse_program(text), BackdoorQuery(TargetClass.HORN)).witness
+               for text in (path, cycle)]
+    finally:
+        sys.setrecursionlimit(old)
+    assert got[0] == frozenset(range(0, 2100, 2))
+    assert got[1] == frozenset({0, *range(1, 2100, 2)})
+
+
+def _brute_lex_cover(n, edges):
+    # combinations come in ascending id order, so the first cover found is
+    # the lexicographically smallest of the minimum ones
+    for size in range(n + 1):
+        for c in combinations(range(n), size):
+            if all(a in c or b in c for a, b in edges):
+                return frozenset(c)
+
+
+def test_vertex_cover_matches_brute_lex_min():
+    # components whose ids interleave, self-loops, every budget up to the
+    # optimum; below it there is no cover
+    rng = random.Random(2010)
+    several = 0
+    for i in range(500):
+        n = rng.randint(1, 10)
+        ids = rng.sample(range(n), n)
+        edges, blocks_with_edges, start = set(), 0, 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            block, start = ids[start:start + size], start + size
+            density, before = rng.random(), len(edges)
+            for j, a in enumerate(block):
+                for b in block[j:]:
+                    if rng.random() < (density if a != b else 0.1):
+                        edges.add((min(a, b), max(a, b)))
+            blocks_with_edges += len(edges) > before
+        several += blocks_with_edges >= 2
+        g = ConflictGraph(n, frozenset(edges))
+        want = _brute_lex_cover(n, edges)
+        for k in (None, *range(len(want) + 1)):
+            expected = want if k is None or k == len(want) else None
+            assert vertex_cover_min(g, k) == expected, f"graph {i}, k={k}"
+    assert several >= 100
+
+
 def _strong_corpus():
     """random_program inputs too large for the brute-force tests, then seeded
     programs whose heads hold up to four atoms and whose rules have negative
@@ -325,7 +378,9 @@ def test_bounded_deletion_queries_match_golden_witnesses():
 # DELETION_TARGETS order, then witness_cycle per class in CYCLE_CLASSES order
 # as (kind initial, vertices, bad), for each program of _golden_corpus();
 # witnesses recorded before the deletion search was compiled into rule masks,
-# node counts when it was split into a size pass and a lexicographic pass.
+# node counts when it was split into a size pass and a lexicographic pass,
+# except the horn counts of programs without tautologies, recorded when those
+# queries moved to the vertex-cover search.
 GOLDEN = (
     ((((2, 3, 4, 8), 99), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20),
       ((2, 8), 20)),
@@ -335,7 +390,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
@@ -372,7 +427,7 @@ GOLDEN = (
       ("d", (1, 4), True), ("d", (1, 4), True))),
     ((((1,), 4), ((0,), 5), ((0,), 5), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 2, 3, 5, 1), True), ("u", (0, 2, 3, 5, 1), True), None, None, None)),
-    ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0,), 0), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((0, 1, 2, 3, 5, 6, 9), 93), ((0, 1, 2, 3, 5, 6), 42), ((0, 1, 2, 3, 5, 6), 42),
@@ -386,7 +441,7 @@ GOLDEN = (
     ((((2,), 6), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4), ((2,), 4)),
      (("u", (2, 5), True), ("u", (2, 5), True), ("d", (2,), True), ("d", (2,), True),
       ("d", (2,), True))),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((2, 3, 5, 6), 31), ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16),
       ((0, 2, 3, 6), 16), ((0, 2, 3, 6), 16)),
@@ -399,7 +454,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
@@ -425,7 +480,7 @@ GOLDEN = (
       ((3, 4), 20)),
      (("u", (1, 3, 7, 2), True), ("u", (1, 3, 7, 2), True), ("d", (2, 3), True),
       ("d", (2, 3), True), ("d", (2, 3), True))),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7), ((0, 2), 7)),
      (("u", (0, 6, 2, 4), True), ("u", (0, 6, 2, 4), True), ("d", (0, 2), True),
@@ -498,7 +553,7 @@ GOLDEN = (
     ((((0, 1), 4), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 3), True), ("u", (0, 3), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
@@ -536,11 +591,11 @@ GOLDEN = (
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 1, 4), 14), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4)),
+    ((((0, 1, 4), 2), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 12, 4, 8), True), ("u", (1, 12, 4, 8), True), ("d", (1, 4), True),
       ("d", (1, 4), True), ("d", (1, 4), True))),
     ((((0, 3, 4, 7, 8), 53), ((0, 5, 6, 7), 37), ((0, 5, 6, 7), 37), ((0, 3, 7), 11),
@@ -583,7 +638,7 @@ GOLDEN = (
       ("d", (3,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0,), 0), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 1), True), ("u", (0, 1), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((0, 2), 5), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8), ((0, 2), 8)),
@@ -599,7 +654,7 @@ GOLDEN = (
       ("d", (4,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((3,), 12), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 3, 4), False), None, None, None, None)),
@@ -623,7 +678,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0, 2), 9), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0, 2), 1), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 4), True), ("u", (0, 4), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
@@ -724,7 +779,7 @@ GOLDEN = (
       ((0, 1, 2, 3), 11), ((0, 1, 2, 3), 11)),
      (("u", (0, 7), True), ("u", (0, 7), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
-    ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((0,), 2), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((), 1), ((1,), 5), ((), 1), ((1,), 4), ((), 1), ((), 1)),
      (("u", (1, 2, 3), False), None, ("d", (1, 2), False), None, None)),
@@ -742,7 +797,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((2,), 6), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (2, 3, 4), False), None, None, None, None)),
-    ((((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
+    ((((0,), 0), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3), ((0,), 3)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
@@ -773,7 +828,7 @@ GOLDEN = (
       ((0, 5), 10)),
      (("u", (5, 6, 10), True), ("u", (5, 6, 10), True), ("d", (0, 2), False),
       ("d", (5, 6), True), ("d", (5, 6), True))),
-    ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((0,), 2), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0, 1), 5), ((0, 1, 5), 20), ((0, 1), 6), ((0, 1, 5), 12), ((1, 4), 11),
       ((1,), 4)),
@@ -800,7 +855,7 @@ GOLDEN = (
       ("d", (1,), True))),
     ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((), 1), ((0,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((0,), 4), ((), 1), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 1, 4), False), None, None, None, None)),
     ((((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
@@ -829,7 +884,7 @@ GOLDEN = (
     ((((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6), ((3,), 6)),
      (("u", (3, 7, 4, 6), True), ("u", (3, 7, 4, 6), True), ("d", (3, 4), True),
       ("d", (3, 4), True), ("d", (3, 4), True))),
-    ((((), 1), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((), 0), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0, 1, 2), 10), ((1, 3), 13), ((1, 3), 13), ((1,), 4), ((1,), 4), ((1,), 4)),
      (("u", (1, 2, 5), True), ("u", (1, 2, 5), True), ("d", (1, 2), True),
@@ -838,7 +893,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((0, 2), 6), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
-    ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
+    ((((0,), 0), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 2), True), ("u", (0, 2), True), ("d", (0,), True), ("d", (0,), True),
       ("d", (0,), True))),
     ((((0, 1, 2, 4, 6), 29), ((0, 1, 2, 4), 12), ((0, 1, 2, 4), 12), ((0, 1, 2), 7),
@@ -876,7 +931,7 @@ GOLDEN = (
      (None, None, None, None, None)),
     ((((), 1), ((0,), 4), ((), 1), ((0,), 3), ((), 1), ((), 1)),
      (("u", (0, 1, 2), False), None, ("d", (0, 1), False), None, None)),
-    ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
+    ((((0,), 2), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6), ((2,), 6)),
      (("u", (2, 8), True), ("u", (2, 8), True), ("d", (2,), True), ("d", (2,), True),
