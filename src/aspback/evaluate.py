@@ -1,14 +1,19 @@
-"""Evaluation through a strong Horn backdoor x, with the program compiled once per x.
+"""Evaluation through a strong Horn backdoor x, a block of truth assignments at a time.
 
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
-The rules without atoms of x are closed once into a shared least model B; per tau
-only the surviving rules that touch x are switched on and propagation goes on from
-B.  Only rules with their head inside x (constraints too) can fail the model test;
-tau's mask alone decides those with their body in x and B, before any propagation.
-If no surviving rule of the GL reduct P^M keeps two head atoms (true of every normal
-program), M is minimal iff it is the least model of P^M's definite part, one more
-propagation; otherwise subsets of M n x are scanned, one Horn propagation each.
+The rules without atoms of x are closed once into a shared least model B.  The
+assignments lo .. lo + w - 1 (w a power of two, lo a multiple of w) are then
+evaluated together: each atom holds one int whose bit j says whether it lies in
+the candidate of assignment lo + j, so one rule step serves all w of them.  The
+i-th atom of x has a fixed column, bit i of lo + j.  A block runs two fixpoints:
+- the closure, where a rule fires unless a head or negative atom of x is true;
+  only rules with their head inside x (constraints too) can then fail the model
+  test, and each ORs its violations into the block's failed mask;
+- the least model of the GL reduct P^M of each candidate M, which is minimal iff
+  that least model holds all of M, unless a surviving rule of P^M keeps two head
+  atoms (never in a normal program).  Those assignments form the scan mask, and
+  only they scan subsets of M n x one by one, one Horn propagation each.
 A Horn* program is the case x = {}: its one candidate is the least model of its core.
 """
 
@@ -27,8 +32,8 @@ from .horn import is_model  # noqa: F401
 
 ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20
+BLOCK = 1 << 13  # the most assignments one block evaluates, a power of two
 
-ACCEPTED, FAILED_MODEL, FAILED_MINIMAL = range(3)
 _forked: dict[str, _Evaluator] = {}  # filled once per forked pool worker, by its initializer
 
 
@@ -55,11 +60,13 @@ class EvalReport:
 
 
 class _Evaluator:
-    """p compiled for evaluation through the strong Horn backdoor x.
+    """p compiled for block evaluation through the strong Horn backdoor x.
 
     Propagation rules are the non-tautological rules whose head leaves x and
-    those with one head atom inside x, each with a counter of its positive
-    body plus one while it is switched off.  Mask bit i stands for dom[i].
+    those with one head atom inside x.  Each is kept as its one head atom, its
+    positive body outside B and two gates, None where the rule never fires: in
+    the closure the domain indices (i stands for dom[i]) whose truth switches
+    it off, in P^M those indices and the atoms outside x whose truth drop it.
     """
 
     def __init__(self, p: Program, x):
@@ -67,97 +74,110 @@ class _Evaluator:
         self.dom = sorted(self.xset)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
-        bit = {a: 1 << i for i, a in enumerate(self.dom)}
-
-        def mask(atoms) -> int:
-            return sum(bit[a] for a in atoms if a in bit)
-
+        idx = {a: i for i, a in enumerate(self.dom)}
         self.rules = [r for r in p.rules if not rule_flags(r).tautological]
-        self.heads: list[int] = []
-        self.occ: list[list[int]] = [[] for _ in range(p.n_atoms)]
-        self.gated: list[tuple[int, int, int]] = []  # (rule, head mask, neg mask)
-        self.counts: list[int] = []
-        checks, free = [], []
+        # checks: (head | neg indices, pos indices, pos and neg outside x), the
+        # rules that can fail the model test; disj: (neg indices, neg outside x)
+        # of the rules that keep two head atoms in P^M wherever they survive
+        props, self.checks, self.disj = [], [], []
         for r in self.rules:
-            i, hm, nm = len(self.heads), mask(r.head), mask(r.neg_body)
+            hx = tuple(idx[a] for a in r.head if a in idx)
+            nx = tuple(idx[a] for a in r.neg_body if a in idx)
+            neg = r.neg_body - self.xset
             if r.head <= self.xset:
-                checks.append((hm, mask(r.pos_body), nm, r.pos_body - self.xset,
-                               r.neg_body - self.xset, i if len(r.head) == 1 else None))
-                if len(r.head) != 1:
-                    continue
-            elif len(r.head - self.xset) != 1 or r.neg_body - self.xset:
+                self.checks.append((hx + nx, [idx[a] for a in r.pos_body if a in idx],
+                                    r.pos_body - self.xset, neg))
+                if len(hx) == 1:
+                    props.append((*r.head, r.pos_body, None, (nx, neg)))
+                elif hx:
+                    self.disj.append((nx, neg))
+            elif len(r.head - self.xset) != 1 or neg:
                 raise ValueError("the atoms are not a strong horn backdoor: "
                                  "some truth assignment reduct is not Horn*")
+            elif hx:
+                props.append((*(r.head - self.xset), r.pos_body, hx + nx, None))
+                self.disj.append((nx, neg))
             else:
-                (self.gated if hm | nm else free).append((i, hm, nm))
-            for a in r.pos_body:
+                props.append((*r.head, r.pos_body, nx, (nx, neg)))
+        # B: the rules that mention no atom of x, closed once and for all; its
+        # atoms start out true in every block and leave the bodies
+        self.in_base = [0] * p.n_atoms
+        self._index(props)
+        self._fix([int(g == ()) for _, _, g, _ in props], self.in_base, ())
+        self.base = frozenset(a for a, v in enumerate(self.in_base) if v)
+        self._index([(h, pos - self.base, g, m) for h, pos, g, m in props])
+        self.derivable = sorted(self.xset.union(h for h, _, _, _ in props) - self.base)
+
+    def _index(self, props) -> None:
+        self.props, self.occ = props, [[] for _ in range(len(self.in_base))]
+        for i, (_, body, _, _) in enumerate(props):
+            for a in body:
                 self.occ[a].append(i)
-            self.heads.extend(r.head - self.xset or r.head)  # its one head atom
-            self.counts.append(len(r.pos_body) + 1)
-        # B: the rules that mention no atom of x, closed once and for all
-        self.base: frozenset[int] = frozenset()
-        self.base = frozenset(self._close([i for i, _, _ in free], [], self.counts))
-        # (head, pos, neg masks, pos and neg atoms outside x and B, rule or None);
-        # a negative body meeting B satisfies the rule and drops it from P^M
-        self.checks = [(hm, pm, nm, pos - self.base, neg, i)
-                       for hm, pm, nm, pos, neg, i in checks if self.base.isdisjoint(neg)]
-        # (pos, head | neg) masks of the checks that the assignment alone decides
-        self.decided = [(pm, hm | nm) for hm, pm, nm, p, n, _ in self.checks if not p | n]
+        self.facts = [i for i, (_, body, _, _) in enumerate(props) if not body]
 
-    def _close(self, on: list[int], seeds: list[int], counts=None) -> set[int]:
-        """Atoms derived outside B once the rules `on` are switched on and the
-        atoms `seeds` are true, from a copy of the counters after B by default."""
-        heads, occ, base = self.heads, self.occ, self.base
-        counts = self.counts.copy() if counts is None else counts
-        for i in on:
-            counts[i] -= 1
-        stack = seeds + [heads[i] for i in on if not counts[i]]
-        new: set[int] = set()
-        while stack:
-            a = stack.pop()
-            if a in new or a in base:
-                continue
-            new.add(a)
-            for i in occ[a]:
-                counts[i] -= 1
-                if not counts[i]:
-                    stack.append(heads[i])
-        return new
+    def _fix(self, fire: list[int], val: list[int], seeds) -> list[int]:
+        """Close val under the rules: rule i adds fire[i] & AND(val of its body) to its head."""
+        props, occ = self.props, self.occ
+        stack, todo = list(seeds), self.facts
+        while True:
+            for i in todo:
+                h, body, _, _ = props[i]
+                v = fire[i]
+                for b in body:
+                    if not v:
+                        break
+                    v &= val[b]
+                if v & ~val[h]:
+                    val[h] |= v
+                    stack.append(h)
+            if not stack:
+                return val
+            todo = occ[stack.pop()]
 
-    def true_atoms(self, t: int) -> list[int]:
-        return [a for i, a in enumerate(self.dom) if t >> i & 1]
+    def block(self, lo: int, w: int) -> tuple[list[int], int, int, int]:
+        """Candidates and verdicts of the assignments lo .. lo + w - 1.
 
-    def closure(self, t: int) -> set[int]:
-        """M \\ B for the candidate M = L u tau^-1(1) of the assignment t."""
-        on = [i for i, hm, nm in self.gated if not (hm | nm) & t]
-        return self._close(on, self.true_atoms(t))
+        Returns the atom values and three disjoint masks: the assignments
+        whose candidate fails the model test, fails minimality by the least
+        model of P^M, or is left to the subset scan.
+        """
+        full = (1 << w) - 1
+        # bit i of lo + j: runs of 2^i zeros and ones, or constant from 2^i = w on
+        cols = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                if 1 << i < w else full * (lo >> i & 1) for i in range(len(self.dom))]
+        val = [full * v for v in self.in_base]
+        least = val.copy()
 
-    def refuted(self, t: int) -> bool:
-        """Does t alone violate a check, making its pos mask true, the rest false?"""
-        return any(not pm & ~t and not hnm & t for pm, hnm in self.decided)
+        def on(xs, negs=()) -> int:  # where no atom of xs or negs is true
+            v = full
+            for i in xs:
+                v &= ~cols[i]
+            for a in negs:
+                v &= ~val[a]
+            return v
 
-    def models(self, t: int, new: set[int]) -> bool:
-        """Does the candidate B u new of t satisfy the rules with head inside x?"""
-        for hm, pm, nm, pos, neg, _ in self.checks:
-            if not (hm | nm) & t and not pm & ~t and pos <= new and new.isdisjoint(neg):
-                return False
-        return True
+        for a, c in zip(self.dom, cols):
+            val[a] = c
+        self._fix([0 if g is None else on(g) for _, _, g, _ in self.props], val, self.dom)
+        failed = scan = nonmin = 0
+        for g, px, pos, neg in self.checks:
+            v = on(g, neg)
+            for i in px:
+                v &= cols[i]
+            for a in pos:
+                v &= val[a]
+            failed |= v
+        for nx, neg in self.disj:
+            scan |= on(nx, neg)
+        scan &= ~failed
+        self._fix([0 if m is None else on(*m) for _, _, _, m in self.props], least, ())
+        for a in self.derivable:
+            nonmin |= val[a] & ~least[a]
+        return val, failed, nonmin & ~(failed | scan), scan
 
-    def minimal(self, t: int, new: set[int]) -> bool:
-        """Is the model M = B u new of p, with M n x = tau^-1(1), minimal for P^M?"""
-        on = []
-        for i, hm, nm in self.gated:
-            if not nm & t:
-                if hm:  # the rule keeps two head atoms in P^M
-                    return self.scan(self.base | new, None)
-                on.append(i)
-        for hm, _, nm, _, neg, i in self.checks:
-            if not nm & t and new.isdisjoint(neg):
-                if hm & (hm - 1):
-                    return self.scan(self.base | new, None)
-                if i is not None:
-                    on.append(i)
-        return self._close(on, []) == new
+    def candidate(self, val: list[int], j: int) -> frozenset[int]:
+        """The candidate of bit j of a block with atom values val."""
+        return self.base.union(a for a in self.derivable if val[a] >> j & 1)
 
     def scan(self, mm: frozenset[int], order) -> bool:
         """Minimality of the model mm by scanning subsets X1 of mm n x.
@@ -175,39 +195,35 @@ class _Evaluator:
         m_minus_x = mm - self.xset
         return not any(_submodel_at(surv, self.xset, mm, m_minus_x, x1) for x1 in order)
 
-    def run(self, lo: int, hi: int):
-        """(verdict, M \\ B or None if the mask refutes t) for each t in [lo, hi)."""
-        for t in range(lo, hi):
-            new = None if self.refuted(t) else self.closure(t)
-            yield (FAILED_MODEL if new is None or not self.models(t, new) else
-                   FAILED_MINIMAL if not self.minimal(t, new) else ACCEPTED), new
-
 
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     """All candidates in truth assignment order (mask bit i = i-th domain atom)."""
     ev = _Evaluator(p, x)
     if len(ev.dom) > MATERIALIZE_GUARD:
         raise ValueError(f"refusing to materialize 2^{len(ev.dom)} candidates")
+    total = 1 << len(ev.dom)
+    w = min(total, BLOCK)
     out = []
-    for t in range(1 << len(ev.dom)):
-        tau = TruthAssignment({a: t >> i & 1 for i, a in enumerate(ev.dom)})
-        combined = ev.base | ev.closure(t)
-        out.append(Candidate(tau, combined.difference(ev.true_atoms(t)), combined))
+    for lo in range(0, total, w):
+        val = ev.block(lo, w)[0]
+        for j in range(w):
+            tau = TruthAssignment({a: lo + j >> i & 1 for i, a in enumerate(ev.dom)})
+            combined = ev.candidate(val, j)
+            out.append(Candidate(tau, combined - tau.true_atoms, combined))
     return tuple(out)
 
 
 def check_answer_set(p: Program, x, m) -> bool:
     """Is m an answer set of p?  Fixed-parameter in |x| for Horn backdoors x.
 
-    m must be the candidate of its own assignment over x, model p and be minimal.
+    m must be the candidate of its own assignment over x, model p and be minimal:
+    a block of width 1.
     """
     ev = _Evaluator(p, x)
     mm = check_atoms(p, m, "interpretation")
-    t = sum(1 << i for i, a in enumerate(ev.dom) if a in mm)
-    if ev.refuted(t):
-        return False
-    new = ev.closure(t)
-    return ev.base | new == mm and ev.models(t, new) and ev.minimal(t, new)
+    val, failed, nonmin, scan = ev.block(sum(1 << i for i, a in enumerate(ev.dom) if a in mm), 1)
+    return (not failed | nonmin and ev.candidate(val, 0) == mm
+            and (not scan or ev.scan(mm, None)))
 
 
 def _submodel_at(surv, xx, mm, m_minus_x, x1) -> bool:
@@ -218,40 +234,51 @@ def _submodel_at(surv, xx, mm, m_minus_x, x1) -> bool:
     return lm <= m_minus_x and cand != mm and all(h & cand or bp - cand for h, bp in surv)
 
 
-def _tally(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[int]]]:
-    """Model failures, minimality failures and answer sets over [lo, hi)."""
-    failed = [0, 0, 0]
+def _settle(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[int]]]:
+    """Model failures, minimality failures and answer sets over [lo, hi), block by block."""
+    w = min(hi - lo, BLOCK)
+    failed_model = failed_minimal = 0
     accepted = []
-    for verdict, new in ev.run(lo, hi):
-        failed[verdict] += 1
-        if verdict == ACCEPTED:
-            accepted.append(ev.base | new)
-    return failed[FAILED_MODEL], failed[FAILED_MINIMAL], accepted
+    for start in range(lo, hi, w):
+        val, failed, nonmin, scan = ev.block(start, w)
+        failed_model += failed.bit_count()
+        failed_minimal += nonmin.bit_count()
+        for j, bit in enumerate(reversed(bin(((1 << w) - 1) & ~(failed | nonmin)))):
+            if bit != "1":
+                continue
+            m = ev.candidate(val, j)
+            if scan >> j & 1 and not ev.scan(m, None):
+                failed_minimal += 1
+            else:
+                accepted.append(m)
+    return failed_model, failed_minimal, accepted
 
 
-def _forked_tally(lo: int, hi: int):
-    return _tally(_forked["ev"], lo, hi)
+def _forked_settle(lo: int, hi: int):
+    return _settle(_forked["ev"], lo, hi)
 
 
 def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
-    """Evaluate p through the backdoor x, streaming over truth assignments.
+    """Evaluate p through the backdoor x, streaming over blocks of truth assignments.
 
-    Candidates are never materialized as a whole; jobs > 1 forks workers
-    (at most one per CPU) over contiguous assignment ranges and aggregates
-    in range order.
+    Candidates are never materialized as a whole.  jobs > 1 forks workers (at
+    most one per CPU) over contiguous runs of blocks, only when there is more
+    than one block of BLOCK assignments, and aggregates in range order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ev = _Evaluator(p, x)
     total = 1 << len(ev.dom)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total < 256:
-        parts = [_tally(ev, 0, total)]
+    blocks = total // BLOCK
+    jobs = min(jobs, os.cpu_count() or 1, blocks)
+    if jobs <= 1:
+        parts = [_settle(ev, 0, total)]
     else:
-        jobs = min(jobs, total)
-        bounds = [total * i // (jobs * 4) for i in range(jobs * 4 + 1)]
+        bounds = [blocks * i // (jobs * 4) * BLOCK for i in range(jobs * 4 + 1)]
         ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs, _forked.__setitem__, ("ev", ev)) as pool:
-            parts = pool.starmap(_forked_tally, ranges)
+            parts = pool.starmap(_forked_settle, ranges)
     sets = frozenset(s for _, _, chunk in parts for s in chunk)
     return EvalReport(frozenset(ev.dom), sets, total,
                       sum(part[0] for part in parts), sum(part[1] for part in parts))

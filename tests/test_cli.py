@@ -256,6 +256,13 @@ def test_solve_jobs_matches(capsys, ex1_file):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_solve_jobs_below_one_exit(capsys, ex1_file, jobs):
+    code, out, err = run(capsys, "solve", ex1_file, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "jobs" in err
+
+
 def test_gen_random_stdout(capsys):
     code, out, _ = run(capsys, "gen", "random", "-n", "6", "--density", "2",
                        "--seed", "3")

@@ -101,35 +101,52 @@ def test_parallel_matches_serial(ex1, ex1_ids):
     assert a == b
 
 
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    # a pool that records its size, runs its initializer and maps inline, so
-    # no process starts
-    sizes = []
+class FakePool:
+    """A pool that records its size, runs its initializer and maps inline, so
+    no process starts."""
 
-    class FakePool:
-        def __init__(self, n, initializer, initargs):
-            sizes.append(n)
-            initializer(*initargs)
+    sizes: list[int] = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, n, initializer, initargs):
+        self.sizes.append(n)
+        initializer(*initargs)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
+    def __exit__(self, *exc):
+        return False
 
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(evaluate.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(evaluate, "_forked", {})  # the initializer runs in this process
-    k = 10
+    return FakePool.sizes
+
+
+def test_jobs_capped_at_cpu_count(fake_pool):
+    # 2^14 assignments are two blocks, so the pool really splits them
+    k = 14
     p = parse_program(_loops(k, "g{i} :- not g{i}."))
     x = {p.atom_id(f"g{i}") for i in range(k)}
     rep = answer_sets(p, x, jobs=10000)
-    assert sizes == [2]
+    assert fake_pool == [2]
     assert rep == answer_sets(p, x, jobs=1)
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
+
+
+def test_no_fork_within_one_block(fake_pool):
+    k = 13
+    p = parse_program(_loops(k, "g{i} :- not g{i}."))
+    rep = answer_sets(p, {p.atom_id(f"g{i}") for i in range(k)}, jobs=2)
+    assert fake_pool == []
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
 
 
@@ -206,8 +223,9 @@ def _loops(k: int, gadget: str) -> str:
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_rejection_split_odd_loops(jobs):
     # every assignment but the all-true one leaves some g_i :- not g_i false;
-    # the all-true one is a model whose reduct derives only the chain
-    k = 9
+    # the all-true one is a model whose reduct derives only the chain; 2^14
+    # assignments are two blocks, which jobs=2 splits over two workers
+    k = 14
     p = parse_program(_loops(k, "g{i} :- not g{i}."))
     x = {p.atom_id(f"g{i}") for i in range(k)}
     rep = answer_sets(p, x, jobs=jobs)
@@ -216,18 +234,26 @@ def test_rejection_split_odd_loops(jobs):
     assert rep.candidates_rejected == 2 ** k
 
 
-def test_refuted_candidates_never_closed(monkeypatch):
-    # g_i :- not g_i lies inside x, so the mask refutes every assignment but
-    # the all-true one before any propagation
-    closed = []
-    closure = _Evaluator.closure
-    monkeypatch.setattr(_Evaluator, "closure",
-                        lambda self, t: closed.append(t) or closure(self, t))
+def test_odd_loops_settled_in_one_block(monkeypatch):
+    # g_i :- not g_i lies inside x: one block of all 2^9 assignments settles
+    # them, and the one model among them fails minimality by the least model
+    # of its reduct, so no candidate is ever extracted
+    blocks, extracted = [], []
+    block, candidate = _Evaluator.block, _Evaluator.candidate
+    monkeypatch.setattr(_Evaluator, "block",
+                        lambda self, lo, w: blocks.append((lo, w)) or block(self, lo, w))
+    monkeypatch.setattr(_Evaluator, "candidate",
+                        lambda self, val, j: extracted.append(j) or candidate(self, val, j))
     k = 9
     p = parse_program(_loops(k, "g{i} :- not g{i}."))
     rep = answer_sets(p, {p.atom_id(f"g{i}") for i in range(k)})
-    assert closed == [2 ** k - 1]
+    assert blocks == [(0, 2 ** k)]
+    assert extracted == []
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
+    # an even loop accepts every candidate: each is extracted once
+    p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
+    rep = answer_sets(p, {p.atom_id(f"a{i}") for i in range(k)})
+    assert len(rep.answer_sets) == len(extracted) == 2 ** k
 
 
 def test_rejection_split_even_loops():
@@ -255,22 +281,16 @@ def _mixed_program(rng: random.Random, n: int):
 
 def test_matches_brute_on_disjunctive_corpus(monkeypatch):
     # random_program output is always normal; this corpus reaches the subset
-    # scan, which only reducts with two or more head atoms still need, and the
-    # mask refutation of rules whose head and body lie inside x
-    scans, closed = [], []
-    scan, closure = _Evaluator.scan, _Evaluator.closure
+    # scan, which only reducts with two or more head atoms still need
+    scans = []
+    scan = _Evaluator.scan
     monkeypatch.setattr(_Evaluator, "scan",
                         lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
-    monkeypatch.setattr(_Evaluator, "closure",
-                        lambda self, t: closed.append(t) or closure(self, t))
     rng = random.Random(2013)
-    refuted = 0
     for _ in range(300):
         p = _mixed_program(rng, rng.randint(1, 10))
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
-        closed.clear()
         rep = answer_sets(p, x)
-        refuted += rep.candidates_total - len(closed)
         assert rep.answer_sets == frozenset(brute_answer_sets(p))
         non_models = 0
         for c in candidate_sets(p, x):
@@ -278,7 +298,28 @@ def test_matches_brute_on_disjunctive_corpus(monkeypatch):
             non_models += not is_model(p, c.combined)
         assert rep.failed_model == non_models
     assert len(scans) > 500
-    assert refuted > 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 8])
+def test_block_boundaries(monkeypatch, fake_pool, block):
+    # narrow blocks cut every program's assignments at other places, and
+    # jobs=2 splits the blocks over the (inline) pool
+    rng = random.Random(2014)
+    programs = [_mixed_program(rng, rng.randint(1, 9)) for _ in range(80)]
+    programs += corpus(60, seed=31, n_atoms=9, density=2.0)
+    cases = []
+    for p in programs:
+        x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
+        cases.append((p, x, answer_sets(p, x), candidate_sets(p, x)))
+    monkeypatch.setattr(evaluate, "BLOCK", block)
+    for p, x, want, cands in cases:
+        assert want.answer_sets == frozenset(brute_answer_sets(p))
+        for jobs in (1, 2):
+            assert answer_sets(p, x, jobs=jobs) == want
+        assert candidate_sets(p, x) == cands
+        for c in cands:
+            assert check_answer_set(p, x, c.combined) == is_answer_set_direct(p, c.combined)
+    assert fake_pool  # some program had more than one block
 
 
 def test_one_propagation_matches_subset_scan(monkeypatch):
