@@ -13,7 +13,8 @@ i-th atom of x has a fixed column, bit i of lo + j.  A block runs two fixpoints:
 - the least model of the GL reduct P^M of each candidate M, which is minimal iff
   that least model holds all of M, unless a surviving rule of P^M keeps two head
   atoms (never in a normal program).  Those assignments form the scan mask, and
-  only they scan subsets of M n x one by one, one Horn propagation each.
+  only their candidates M go through scan: the blocks of one more evaluator, of
+  the reduct P'_M through the backdoor M n x.
 A Horn* program is the case x = {}: its one candidate is the least model of its core.
 """
 
@@ -22,13 +23,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
-from .horn import propagate_definite
-from .program import Program, rule_flags
+from .program import Program, Rule, rule_flags
 from .reducts import TruthAssignment, check_atoms
-# not called here, but perfbench/tracer.py wraps evaluate.is_model by this name
-from .horn import is_model  # noqa: F401
+# not called here, but perfbench/tracer.py wraps these names in evaluate
+from .horn import is_model, propagate_definite  # noqa: F401
 
 ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20
@@ -70,7 +69,7 @@ class _Evaluator:
     """
 
     def __init__(self, p: Program, x):
-        self.xset = check_atoms(p, x, "backdoor") & p.occurring_atoms()
+        self.p, self.xset = p, check_atoms(p, x, "backdoor") & p.occurring_atoms()
         self.dom = sorted(self.xset)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
@@ -139,7 +138,7 @@ class _Evaluator:
 
         Returns the atom values and three disjoint masks: the assignments
         whose candidate fails the model test, fails minimality by the least
-        model of P^M, or is left to the subset scan.
+        model of P^M, or is left to scan.
         """
         full = (1 << w) - 1
         # bit i of lo + j: runs of 2^i zeros and ones, or constant from 2^i = w on
@@ -179,21 +178,29 @@ class _Evaluator:
         """The candidate of bit j of a block with atom values val."""
         return self.base.union(a for a in self.derivable if val[a] >> j & 1)
 
-    def scan(self, mm: frozenset[int], order) -> bool:
-        """Minimality of the model mm by scanning subsets X1 of mm n x.
+    def scan(self, mm: frozenset[int]) -> bool:
+        """Minimality of the model mm, through the blocks of one more evaluator.
 
-        The default order is size-then-lexicographic; the scan stops at the
-        first X1 that exposes a proper submodel of the GL reduct.
-        """
-        # non-tautological GL reduct survivors; their erased negative bodies and
-        # the dropped tautological rules are satisfied by every subset of mm
-        surv = [(r.head, r.pos_body) for r in self.rules if not r.neg_body & mm]
-        if order is None:
-            inter = sorted(mm & self.xset)
-            order = (frozenset(c) for size in range(len(inter) + 1)
-                     for c in combinations(inter, size))
-        m_minus_x = mm - self.xset
-        return not any(_submodel_at(surv, self.xset, mm, m_minus_x, x1) for x1 in order)
+        Its program P'_mm keeps the rules of P^mm whose positive body misses x - mm, minus
+        x - mm in their heads (the rest hold in every subset of mm); mm is minimal unless
+        some candidate through the backdoor mm n x models P'_mm and is a proper subset of mm."""
+        out = self.xset - mm
+        sub = _Evaluator(self.p.with_rules(
+            Rule(r.head - out, r.pos_body, frozenset()) for r in self.rules
+            if not r.neg_body & mm and not r.pos_body & out), mm & self.xset)
+        w = min(1 << len(sub.dom), BLOCK)
+        always_miss = -1 if mm - sub.base.union(sub.derivable) else 0
+        for lo in range(0, 1 << len(sub.dom), w):
+            val, failed = sub.block(lo, w)[:2]
+            inside, miss = ~failed & (1 << w) - 1, always_miss
+            for a in sub.derivable:
+                if a in mm:
+                    miss |= ~val[a]
+                else:
+                    inside &= ~val[a]
+            if inside & miss:
+                return False
+        return True
 
 
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
@@ -223,15 +230,7 @@ def check_answer_set(p: Program, x, m) -> bool:
     mm = check_atoms(p, m, "interpretation")
     val, failed, nonmin, scan = ev.block(sum(1 << i for i, a in enumerate(ev.dom) if a in mm), 1)
     return (not failed | nonmin and ev.candidate(val, 0) == mm
-            and (not scan or ev.scan(mm, None)))
-
-
-def _submodel_at(surv, xx, mm, m_minus_x, x1) -> bool:
-    """Does the Horn propagation at X1 expose a proper submodel of the reduct?"""
-    # a strong Horn backdoor leaves at most one head atom outside xx
-    lm = propagate_definite([(a, bp - x1) for h, bp in surv if not h & x1 for a in h - xx])
-    cand = lm | x1
-    return lm <= m_minus_x and cand != mm and all(h & cand or bp - cand for h, bp in surv)
+            and (not scan or ev.scan(mm)))
 
 
 def _settle(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[int]]]:
@@ -247,7 +246,7 @@ def _settle(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[
             if bit != "1":
                 continue
             m = ev.candidate(val, j)
-            if scan >> j & 1 and not ev.scan(m, None):
+            if scan >> j & 1 and not ev.scan(m):
                 failed_minimal += 1
             else:
                 accepted.append(m)

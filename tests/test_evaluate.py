@@ -150,19 +150,17 @@ def test_no_fork_within_one_block(fake_pool):
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
 
 
-def test_minimality_scan_order_free(ex1, ex1_ids):
-    # the subset scan may visit X1 candidates in any order
-    from itertools import combinations
+def test_minimality_scan_matches_definition(ex1, ex1_ids):
+    # scan(m) decides minimality of any model m, not only of candidates
     x = {ex1_ids["r"], ex1_ids["s"]}
     ev = _Evaluator(ex1, x)
-    rng = random.Random(4)
-    for m in ({ex1_ids["t"]}, {ex1_ids["t"], ex1_ids["s"]}, {ex1_ids["r"], ex1_ids["s"]}):
-        want = check_answer_set(ex1, x, m)
-        inter = sorted(set(m) & x)
-        subsets = [frozenset(c) for size in range(len(inter) + 1)
-                   for c in combinations(inter, size)]
-        rng.shuffle(subsets)
-        assert (is_model(ex1, m) and ev.scan(frozenset(m), subsets)) == want
+    verdicts = []
+    for bits in range(1 << ex1.n_atoms):
+        m = frozenset(a for a in range(ex1.n_atoms) if bits >> a & 1)
+        if is_model(ex1, m):
+            verdicts.append(ev.scan(m))
+            assert verdicts[-1] == is_answer_set_direct(ex1, m)
+    assert (len(verdicts), sum(verdicts)) == (21, 1)  # 21 models, one answer set
 
 
 def test_materialize_guard():
@@ -280,24 +278,28 @@ def _mixed_program(rng: random.Random, n: int):
 
 
 def test_matches_brute_on_disjunctive_corpus(monkeypatch):
-    # random_program output is always normal; this corpus reaches the subset
-    # scan, which only reducts with two or more head atoms still need
+    # random_program output is always normal; this corpus reaches the minimality
+    # scan, which only reducts with two or more head atoms still need; a random
+    # superset of the witness puts more atoms into M n x, so scans look at more subsets
     scans = []
     scan = _Evaluator.scan
     monkeypatch.setattr(_Evaluator, "scan",
-                        lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
-    rng = random.Random(2013)
+                        lambda self, mm: scans.append(len(mm & self.xset)) or scan(self, mm))
+    rng, pick = random.Random(2013), random.Random(2015)
     for _ in range(300):
         p = _mixed_program(rng, rng.randint(1, 10))
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
         rep = answer_sets(p, x)
         assert rep.answer_sets == frozenset(brute_answer_sets(p))
+        occ = sorted(p.occurring_atoms())
+        wide = x | set(pick.sample(occ, pick.randint(0, len(occ))))
+        assert answer_sets(p, wide).answer_sets == rep.answer_sets
         non_models = 0
         for c in candidate_sets(p, x):
             assert check_answer_set(p, x, c.combined) == is_answer_set_direct(p, c.combined)
             non_models += not is_model(p, c.combined)
         assert rep.failed_model == non_models
-    assert len(scans) > 500
+    assert len(scans) > 500 and max(scans) >= 3
 
 
 @pytest.mark.parametrize("block", [1, 2, 8])
@@ -326,7 +328,7 @@ def test_one_propagation_matches_subset_scan(monkeypatch):
     scans = []
     scan = _Evaluator.scan
     monkeypatch.setattr(_Evaluator, "scan",
-                        lambda self, mm, order: scans.append(mm) or scan(self, mm, order))
+                        lambda self, mm: scans.append(mm) or scan(self, mm))
     checked = 0
     for p in corpus(60, seed=31, n_atoms=9, density=2.0):
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
@@ -335,7 +337,7 @@ def test_one_propagation_matches_subset_scan(monkeypatch):
             if is_model(p, c.combined):
                 fast = check_answer_set(p, x, c.combined)
                 assert not scans
-                assert fast == ev.scan(c.combined, None)
+                assert fast == ev.scan(c.combined)
                 scans.clear()
                 checked += 1
     assert checked > 50
