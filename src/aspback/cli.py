@@ -10,6 +10,7 @@ that varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -303,7 +304,10 @@ def _cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call
+    of main in this process; parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="aspback",
         description="Evaluate ground answer set programs via backdoors "

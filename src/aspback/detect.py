@@ -94,7 +94,8 @@ def _matching_lb(adj: list[int], alive: int) -> int:
 
 def _kernel(adj: list[int], alive: int, chosen: int) -> tuple[int, int]:
     """Drop degree-0 vertices and take the neighbour of each degree-1 vertex,
-    to a fixpoint; a worklist revisits only vertices whose degree fell."""
+    to a fixpoint; a worklist revisits only vertices whose degree fell.  An
+    isolated edge keeps its lower end, the one the lexicographic pass wants."""
     work = alive
     while work:
         low = work & -work
@@ -103,9 +104,10 @@ def _kernel(adj: list[int], alive: int, chosen: int) -> tuple[int, int]:
         if nb & (nb - 1) or not low & alive:
             continue
         alive ^= low | nb
-        chosen |= nb
         if nb:
-            work |= adj[nb.bit_length() - 1] & alive
+            rest = adj[nb.bit_length() - 1] & alive
+            chosen |= nb if rest else min(low, nb)
+            work |= rest
     return alive, chosen
 
 

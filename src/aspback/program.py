@@ -12,9 +12,10 @@ under render/parse round trips.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 ATOM_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
@@ -133,23 +134,19 @@ class ProgramBuilder:
     """Interns atom names in first-use order and collects rules."""
 
     def __init__(self) -> None:
-        self._names: list[str] = []
+        # insertion ordered, so the keys are the atom table
         self._ids: dict[str, int] = {}
         self._rules: list[Rule] = []
         self.duplicate_literals = 0
 
     def intern(self, name: str) -> int:
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self._names)
-            self._ids[name] = i
-            self._names.append(name)
-        return i
+        return self._ids.setdefault(name, len(self._ids))
 
     def _part(self, names: Iterable[str]) -> frozenset[int]:
-        ids = [self.intern(n) for n in names]
-        part = frozenset(ids)
-        self.duplicate_literals += len(ids) - len(part)
+        ids = self._ids
+        got = [ids.setdefault(n, len(ids)) for n in names]
+        part = frozenset(got)
+        self.duplicate_literals += len(got) - len(part)
         return part
 
     def add_rule(self, head: Iterable[str], pos: Iterable[str] = (),
@@ -157,53 +154,36 @@ class ProgramBuilder:
         self._rules.append(Rule(self._part(head), self._part(pos), self._part(neg)))
 
     def build(self) -> Program:
-        return Program(self._names, self._rules, self.duplicate_literals)
+        return Program(self._ids, self._rules, self.duplicate_literals)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_PUNCT = {":-": "IMPL", ".": "DOT", ",": "COMMA", "|": "PIPE"}
+# One token per match: whitespace (space, tab, CR, LF) and comments are
+# skipped before it; a character no token starts with is a token of its own;
+# the empty match at the end is EOF.  The group never fails, so the scan does
+# not backtrack.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*([a-zA-Z_][a-zA-Z0-9_']*|:-|[.,|]|.|\Z)")
+_SYMBOLS = frozenset({":-", ".", ",", "|", ""})
+_NOT_ATOM = _SYMBOLS | RESERVED
 
 
-def _tokens(text: str) -> Iterator[tuple[str, str, int, int]]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = ATOM_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "NOT" if word == "not" else "ATOM"
-            yield kind, word, line, col
-            col += len(word)
-            i = m.end()
-            continue
-        if text.startswith(":-", i):
-            yield "IMPL", ":-", line, col
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            yield _PUNCT[c], c, line, col
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    yield "EOF", "", line, col
+def _error(text: str, i: int, message: str) -> ParseError:
+    """ParseError at the 1-based line and column of token i."""
+    m = next(itertools.islice(_TOKEN.finditer(text), i, None))
+    off = m.start(1)
+    if not m.group(1):
+        # EOF after a trailing comment sits at its '%', as the comment's
+        # characters are not counted
+        pct = text.find("%", text.rfind("\n") + 1)
+        off = pct if pct >= 0 else off
+    return ParseError(message, text.count("\n", 0, off) + 1,
+                      off - text.rfind("\n", 0, off))
+
+
+def _got(t: str) -> str:
+    return repr(t) if t else "end of input"
 
 
 def parse_program(text: str | bytes) -> Program:
@@ -212,61 +192,54 @@ def parse_program(text: str | bytes) -> Program:
     Statements are rules terminated by '.', '%' starts a comment, heads are
     '|'-separated atoms, bodies are ','-separated literals with optional
     'not'.  Duplicate literals within a rule part are deduplicated; the count
-    of dropped duplicates is exposed as Program.duplicate_literals.
+    of dropped duplicates is exposed as Program.duplicate_literals.  The
+    whole text is tokenized first, so a bad character anywhere is reported
+    before any grammar error.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    toks = list(_tokens(text))
-    pos = 0
+    toks = _TOKEN.findall(text)
+    bad = [t for t in set(toks) if t not in _SYMBOLS and not ATOM_RE.match(t)]
+    if bad:
+        i = min(toks.index(t) for t in bad)
+        raise _error(text, i, f"unexpected character {toks[i]!r}")
     b = ProgramBuilder()
-
-    def peek() -> tuple[str, str, int, int]:
-        return toks[pos]
-
-    def take(kind: str, what: str) -> tuple[str, str, int, int]:
-        nonlocal pos
-        t = toks[pos]
-        if t[0] != kind:
-            got = repr(t[1]) if t[0] != "EOF" else "end of input"
-            raise ParseError(f"expected {what}, got {got}", t[2], t[3])
-        pos += 1
-        return t
-
-    def parse_literal() -> tuple[str, bool]:
-        nonlocal pos
-        neg = False
-        if peek()[0] == "NOT":
-            pos += 1
-            neg = True
-        t = take("ATOM", "atom")
-        return t[1], neg
-
-    while peek()[0] != "EOF":
+    it = enumerate(toks)  # it ends with EOF, which nothing steps past
+    i, t = next(it)
+    while t:
         head: list[str] = []
-        t = peek()
-        if t[0] == "ATOM":
-            pos += 1
-            head.append(t[1])
-            while peek()[0] == "PIPE":
-                pos += 1
-                head.append(take("ATOM", "atom")[1])
-        elif t[0] != "IMPL":
-            raise ParseError(f"expected rule, got {t[1]!r}", t[2], t[3])
-
         pos_body: list[str] = []
         neg_body: list[str] = []
-        if peek()[0] == "IMPL":
-            pos += 1
-            if peek()[0] == "DOT":
-                t = peek()
-                raise ParseError("empty body after ':-'", t[2], t[3])
-            name, neg = parse_literal()
-            (neg_body if neg else pos_body).append(name)
-            while peek()[0] == "COMMA":
-                pos += 1
-                name, neg = parse_literal()
-                (neg_body if neg else pos_body).append(name)
-        take("DOT", "'.'")
+        if t != ":-":
+            if t in _NOT_ATOM:
+                raise _error(text, i, f"expected rule, got {t!r}")
+            head.append(t)
+            i, t = next(it)
+            while t == "|":
+                i, t = next(it)
+                if t in _NOT_ATOM:
+                    raise _error(text, i, f"expected atom, got {_got(t)}")
+                head.append(t)
+                i, t = next(it)
+        if t == ":-":
+            i, t = next(it)
+            if t == ".":
+                raise _error(text, i, "empty body after ':-'")
+            while True:
+                part = pos_body
+                if t == "not":
+                    part = neg_body
+                    i, t = next(it)
+                if t in _NOT_ATOM:
+                    raise _error(text, i, f"expected atom, got {_got(t)}")
+                part.append(t)
+                i, t = next(it)
+                if t != ",":
+                    break
+                i, t = next(it)
+        if t != ".":
+            raise _error(text, i, f"expected '.', got {_got(t)}")
+        i, t = next(it)
         b.add_rule(head, pos_body, neg_body)
     return b.build()
 

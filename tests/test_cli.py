@@ -3,7 +3,7 @@ import json
 import pytest
 
 from aspback import __version__
-from aspback.cli import main
+from aspback.cli import build_parser, main
 from conftest import EX1_TEXT
 
 
@@ -372,3 +372,28 @@ def test_json_deterministic(capsys, ex1_file):
         _, out2, _ = run(capsys, "solve", ex1_file, "--format", "json")
         runs.append(strip_wall(out) + strip_wall(out2))
     assert runs[0] == runs[1]
+
+
+def test_main_reuses_one_parser(capsys, ex1_file, monkeypatch):
+    # a brave call with --atom must leave nothing behind for the next solve
+    # call (its JSON shows "atom": null), and a usage error nothing for the
+    # call after it
+    calls = [("backdoor", ex1_file), ("solve", ex1_file, "--mode", "brave", "--atom", "s"),
+             ("solve", ex1_file, "--format", "json"), ("solve", ex1_file, "--mode", "bogus"),
+             ("parse", ex1_file)]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = ("exit", e.code)
+        out = capsys.readouterr()
+        return code, strip_wall(out.out), out.err
+
+    with monkeypatch.context() as m:
+        m.setattr("aspback.cli.build_parser", build_parser.__wrapped__)
+        first = [outcome(argv) for argv in calls]
+    assert first[2][1].count('"atom": null') == 1
+    assert first[3][0] == ("exit", 2) and "invalid choice: 'bogus'" in first[3][2]
+    assert [outcome(argv) for argv in calls] == first
+    assert build_parser() is build_parser()

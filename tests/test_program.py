@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
-from aspback import (ParseError, Program, ProgramBuilder, Rule, TargetClass,
-                     core, in_target_class, parse_program, render_program,
+from aspback import (GenConfig, ParseError, Program, ProgramBuilder, Rule,
+                     TargetClass, child_seed, core, in_target_class,
+                     parse_program, random_program, render_program,
                      render_rule, rule_flags)
 
 from conftest import EX1_TEXT, program_sigs
@@ -60,6 +64,109 @@ def test_parse_errors_carry_position():
         parse_program("a :- not not b.")
     with pytest.raises(ParseError):
         parse_program("a ; b.")
+
+
+# (text, message, line, col) of every ParseError here, recorded from the
+# character-by-character tokenizer that the one-regex scan replaced.  A bad
+# character anywhere wins over an earlier grammar error; only space, tab, CR
+# and LF are whitespace; EOF after a trailing comment sits at the '%'.
+PARSE_ERRORS = (
+    ("a :- . 1", "unexpected character '1'", 1, 8),
+    ("a.\fb.", "unexpected character '\\x0c'", 1, 3),
+    ("a.\vb.", "unexpected character '\\x0b'", 1, 3),
+    ("a.\xa0b.", "unexpected character '\\xa0'", 1, 3),
+    ("\ufeffa.", "unexpected character '\\ufeff'", 1, 1),
+    ("a :- b % x", "expected '.', got end of input", 1, 8),
+    ("a :- b\r\n", "expected '.', got end of input", 2, 1),
+    ("a\tb.", "expected '.', got 'b'", 1, 3),
+    ("a :- not not b.", "expected atom, got 'not'", 1, 10),
+    ("not.", "expected rule, got 'not'", 1, 1),
+    ("a | .", "expected atom, got '.'", 1, 5),
+    ("a :- b,", "expected atom, got end of input", 1, 8),
+    ("x :- y\xa0.", "unexpected character '\\xa0'", 1, 7),
+    ("a :- b", "expected '.', got end of input", 1, 7),
+    ("a :- .", "empty body after ':-'", 1, 6),
+    ("| a.", "expected rule, got '|'", 1, 1),
+    ("a ; b.", "unexpected character ';'", 1, 3),
+    ("a :-\n", "expected atom, got end of input", 2, 1),
+    ("a :- not.", "expected atom, got '.'", 1, 9),
+    ("a | not.", "expected atom, got 'not'", 1, 5),
+    ("a :- b c.", "expected '.', got 'c'", 1, 8),
+    (":- .", "empty body after ':-'", 1, 4),
+    ("a.\n\n  b :- 1c.", "unexpected character '1'", 3, 8),
+    ("a :- b :- c.", "expected '.', got ':-'", 1, 8),
+    ("a. . b.", "expected rule, got '.'", 1, 4),
+    ("a :- b. % x\n  c", "expected '.', got end of input", 2, 4),
+    ("a :- b % x\n%y", "expected '.', got end of input", 2, 1),
+    ("p(x).", "unexpected character '('", 1, 2),
+    ("a - b.", "unexpected character '-'", 1, 3),
+    ("a : b.", "unexpected character ':'", 1, 3),
+    ("a.\r\nb", "expected '.', got end of input", 2, 2),
+    ("\xe9.", "unexpected character '\xe9'", 1, 1),
+    ("a :- b.\n\tc d.", "expected '.', got 'd'", 2, 4),
+    ("a, b.", "expected '.', got ','", 1, 2),
+    (":-", "expected atom, got end of input", 1, 3),
+    ("a. 'b.", "unexpected character \"'\"", 1, 4),
+    ("a :- b,\n\n", "expected atom, got end of input", 3, 1),
+    ("a | b :- not c, d\n% end", "expected '.', got end of input", 2, 1),
+    ("x :- y.\ny :- not\n", "expected atom, got end of input", 3, 1),
+)
+
+
+@pytest.mark.parametrize("text,message,line,col", PARSE_ERRORS)
+def test_parse_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+    assert str(e.value) == f"line {line}, col {col}: {message}"
+
+
+def test_parse_interns_head_then_positive_then_negative():
+    # not text order: the negative literal comes first in the text
+    p = parse_program("b :- not a, c.")
+    assert p.atom_names == ("b", "c", "a")
+
+
+MUTATION_PIECES = (".", ",", "|", ":-", "%", "not", "\t", "\f", "\n")
+
+
+def _mutants(count):
+    """Rendered random programs with one to three pieces inserted or deleted."""
+    rng = random.Random(2788)
+    for i in range(count):
+        cfg = GenConfig(n_atoms=rng.randint(2, 8), density=rng.choice((0.5, 1.0, 2.0)),
+                        body_len=1, seed=child_seed(2788, i))
+        text = render_program(random_program(cfg))
+        for _ in range(rng.randint(1, 3)):
+            piece = rng.choice(MUTATION_PIECES)
+            if rng.random() < 0.5:
+                at = rng.randint(0, len(text))
+                text = text[:at] + piece + text[at:]
+            else:
+                spots = [i for i in range(len(text)) if text.startswith(piece, i)]
+                if spots:
+                    at = rng.choice(spots)
+                    text = text[:at] + text[at + len(piece):]
+        yield text
+
+
+def _outcome(text):
+    try:
+        p = parse_program(text)
+    except ParseError as e:
+        return "error " + str(e)
+    rules = [(sorted(r.head), sorted(r.pos_body), sorted(r.neg_body)) for r in p.rules]
+    return repr((p.atom_names, rules, p.duplicate_literals))
+
+
+def test_parse_outcomes_of_mutated_programs_are_pinned():
+    # the sha256 of every outcome (the Program with its duplicate count, or
+    # the ParseError text), recorded from the character-by-character tokenizer
+    outcomes = [_outcome(t) for t in _mutants(3000)]
+    errors = sum(o.startswith("error ") for o in outcomes)
+    assert 500 <= errors <= 2500
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "9c39b652b13748b37746b486e7f8bc53145061207a08c65e39b492b17eef0ecb"
 
 
 def test_not_is_reserved():
