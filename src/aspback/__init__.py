@@ -17,8 +17,8 @@ from .horn import is_model, least_model
 from .oracle import (brute_answer_sets, brute_min_backdoor,
                      is_answer_set_direct)
 from .program import (ACYCLIC_CLASSES, ParseError, Program, ProgramBuilder,
-                      Rule, RuleFlags, TargetClass, core, in_target_class,
-                      parse_program, render_program, render_rule, rule_flags)
+                      Rule, TargetClass, core, in_target_class, parse_program,
+                      render_program, render_rule)
 from .reducts import (TruthAssignment, assignments_over, delete_atoms,
                       gl_reduct, ta_reduct)
 
@@ -29,7 +29,7 @@ __all__ = [
     "BackdoorQuery", "BackdoorResult", "Candidate", "ConflictGraph",
     "CycleWitness", "DependencyDigraph", "EvalReport", "GenConfig",
     "HittingSetInstance", "IncidenceGraph", "ParseError", "Program",
-    "ProgramBuilder", "Rule", "RuleFlags", "TargetClass", "TruthAssignment",
+    "ProgramBuilder", "Rule", "TargetClass", "TruthAssignment",
     "UndirectedDepGraph", "answer_sets", "assignments_over",
     "brute_answer_sets", "brute_min_backdoor", "build_ddg", "build_udg",
     "candidate_sets", "check_answer_set", "child_seed", "core",
@@ -39,7 +39,7 @@ __all__ = [
     "horn_conflict_graph", "horn_star_answer_sets", "in_target_class",
     "incidence_graph", "is_answer_set_direct", "is_model", "least_model",
     "mode_result", "parse_hitting_set", "parse_program", "random_program",
-    "render_program", "render_rule", "rule_flags", "ta_reduct",
+    "render_program", "render_rule", "ta_reduct",
     "verify_backdoor", "vertex_cover_min", "witness_cycle",
     "__version__",
 ]

@@ -36,8 +36,7 @@ from itertools import combinations
 
 from .depgraph import _components
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atom_mask, atoms_of, in_target_class, rule_flags,
-                      violation)
+                      atom_mask, atoms_of, in_target_class, violation)
 from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
 # not called here, but perfbench/tracer.py wraps detect.core and
 # detect.witness_cycle by these names
@@ -64,7 +63,7 @@ class ConflictGraph:
 def horn_conflict_graph(p: Program) -> ConflictGraph:
     edges: set[tuple[int, int]] = set()
     for r in p.rules:
-        if rule_flags(r).tautological:
+        if r.tautological:
             continue
         hs = sorted(r.head)
         for i, x in enumerate(hs):
@@ -385,7 +384,7 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
     """
     if query.target is TargetClass.HORN and (
             query.kind == "strong"
-            or not any(rule_flags(r).tautological for r in p.rules)):
+            or not any(r.tautological for r in p.rules)):
         witness, nodes = _vc_min(horn_conflict_graph(p), query.k)
     elif query.kind == "deletion":
         witness, nodes = _deletion_search(p, query.target, query.k)

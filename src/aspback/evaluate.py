@@ -1,5 +1,7 @@
 """Evaluation through a strong Horn backdoor x, a block of truth assignments at a time.
 
+The program is compiled once, from the (head, pos, neg) rule masks of
+CompiledProgram, into an evaluator; no Program is built after the parse.
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
 The rules without atoms of x are closed once into a shared least model B.  The
@@ -14,7 +16,8 @@ i-th atom of x has a fixed column, bit i of lo + j.  A block runs two fixpoints:
   that least model holds all of M, unless a surviving rule of P^M keeps two head
   atoms (never in a normal program).  Those assignments form the scan mask, and
   only their candidates M go through scan: the blocks of one more evaluator, of
-  the reduct P'_M through the backdoor M n x.
+  the reduct P'_M through the backdoor M n x, whose rule masks scan derives by
+  masking the compiled rules of the first.
 A Horn* program is the case x = {}: its one candidate is the least model of its core.
 """
 
@@ -24,7 +27,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .program import Program, Rule, rule_flags
+from .program import CompiledProgram, Program, atom_mask, atoms_of
 from .reducts import TruthAssignment, check_atoms
 # not called here, but perfbench/tracer.py wraps these names in evaluate
 from .horn import is_model, propagate_definite  # noqa: F401
@@ -59,53 +62,59 @@ class EvalReport:
 
 
 class _Evaluator:
-    """p compiled for block evaluation through the strong Horn backdoor x.
+    """Rule masks (head, pos, neg) over n_atoms atoms, compiled for block
+    evaluation through the strong Horn backdoor mask x.
 
-    Propagation rules are the non-tautological rules whose head leaves x and
+    Tautological rules are dropped, and x keeps only atoms that the rules
+    mention.  Propagation rules are the kept rules whose head leaves x and
     those with one head atom inside x.  Each is kept as its one head atom, its
     positive body outside B and two gates, None where the rule never fires: in
     the closure the domain indices (i stands for dom[i]) whose truth switches
     it off, in P^M those indices and the atoms outside x whose truth drop it.
     """
 
-    def __init__(self, p: Program, x):
-        self.p, self.xset = p, check_atoms(p, x, "backdoor") & p.occurring_atoms()
-        self.dom = sorted(self.xset)
+    def __init__(self, n_atoms: int, rules, x: int):
+        occurring = 0
+        for h, pos, neg in rules:
+            occurring |= h | pos | neg
+        x = self.x = x & occurring
+        self.n_atoms, self.dom = n_atoms, atoms_of(x)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
         idx = {a: i for i, a in enumerate(self.dom)}
-        self.rules = [r for r in p.rules if not rule_flags(r).tautological]
+        self.rules = [r for r in rules if not r[1] & (r[0] | r[2])]
         # checks: (head | neg indices, pos indices, pos and neg outside x), the
         # rules that can fail the model test; disj: (neg indices, neg outside x)
         # of the rules that keep two head atoms in P^M wherever they survive
         props, self.checks, self.disj = [], [], []
-        for r in self.rules:
-            hx = tuple(idx[a] for a in r.head if a in idx)
-            nx = tuple(idx[a] for a in r.neg_body if a in idx)
-            neg = r.neg_body - self.xset
-            if r.head <= self.xset:
-                self.checks.append((hx + nx, [idx[a] for a in r.pos_body if a in idx],
-                                    r.pos_body - self.xset, neg))
+        for h, pos, neg in self.rules:
+            hx = tuple(idx[a] for a in atoms_of(h & x))
+            nx = tuple(idx[a] for a in atoms_of(neg & x))
+            h_out, neg_out, body = h ^ (h & x), atoms_of(neg ^ (neg & x)), atoms_of(pos)
+            if not h_out:
+                self.checks.append((hx + nx, [idx[a] for a in atoms_of(pos & x)],
+                                    atoms_of(pos ^ (pos & x)), neg_out))
                 if len(hx) == 1:
-                    props.append((*r.head, r.pos_body, None, (nx, neg)))
+                    props.append((h.bit_length() - 1, body, None, (nx, neg_out)))
                 elif hx:
-                    self.disj.append((nx, neg))
-            elif len(r.head - self.xset) != 1 or neg:
+                    self.disj.append((nx, neg_out))
+            elif h_out & (h_out - 1) or neg_out:
                 raise ValueError("the atoms are not a strong horn backdoor: "
                                  "some truth assignment reduct is not Horn*")
             elif hx:
-                props.append((*(r.head - self.xset), r.pos_body, hx + nx, None))
-                self.disj.append((nx, neg))
+                props.append((h_out.bit_length() - 1, body, hx + nx, None))
+                self.disj.append((nx, neg_out))
             else:
-                props.append((*r.head, r.pos_body, nx, (nx, neg)))
+                props.append((h_out.bit_length() - 1, body, nx, (nx, neg_out)))
         # B: the rules that mention no atom of x, closed once and for all; its
         # atoms start out true in every block and leave the bodies
-        self.in_base = [0] * p.n_atoms
+        self.in_base = [0] * n_atoms
         self._index(props)
         self._fix([int(g == ()) for _, _, g, _ in props], self.in_base, ())
-        self.base = frozenset(a for a, v in enumerate(self.in_base) if v)
-        self._index([(h, pos - self.base, g, m) for h, pos, g, m in props])
-        self.derivable = sorted(self.xset.union(h for h, _, _, _ in props) - self.base)
+        in_base = self.in_base
+        self.base = frozenset(a for a, v in enumerate(in_base) if v)
+        self._index([(h, [a for a in body if not in_base[a]], g, m) for h, body, g, m in props])
+        self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)} - self.base)
 
     def _index(self, props) -> None:
         self.props, self.occ = props, [[] for _ in range(len(self.in_base))]
@@ -181,13 +190,14 @@ class _Evaluator:
     def scan(self, mm: frozenset[int]) -> bool:
         """Minimality of the model mm, through the blocks of one more evaluator.
 
-        Its program P'_mm keeps the rules of P^mm whose positive body misses x - mm, minus
-        x - mm in their heads (the rest hold in every subset of mm); mm is minimal unless
-        some candidate through the backdoor mm n x models P'_mm and is a proper subset of mm."""
-        out = self.xset - mm
-        sub = _Evaluator(self.p.with_rules(
-            Rule(r.head - out, r.pos_body, frozenset()) for r in self.rules
-            if not r.neg_body & mm and not r.pos_body & out), mm & self.xset)
+        Its program P'_mm is masked from this evaluator's rules: those of P^mm whose
+        positive body misses x - mm, minus x - mm in their heads (the rest hold in every
+        subset of mm); mm is minimal unless some candidate through the backdoor mm n x
+        models P'_mm and is a proper subset of mm."""
+        m = atom_mask(mm)
+        out = self.x ^ (self.x & m)
+        sub = _Evaluator(self.n_atoms, [(h ^ (h & out), pos, 0) for h, pos, neg in self.rules
+                                        if not neg & m and not pos & out], m & self.x)
         w = min(1 << len(sub.dom), BLOCK)
         always_miss = -1 if mm - sub.base.union(sub.derivable) else 0
         for lo in range(0, 1 << len(sub.dom), w):
@@ -203,9 +213,15 @@ class _Evaluator:
         return True
 
 
+def _compile(p: Program, x) -> _Evaluator:
+    """p's rule masks compiled once, through the backdoor x over p's atom table."""
+    return _Evaluator(p.n_atoms, CompiledProgram(p).rules,
+                      atom_mask(check_atoms(p, x, "backdoor")))
+
+
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     """All candidates in truth assignment order (mask bit i = i-th domain atom)."""
-    ev = _Evaluator(p, x)
+    ev = _compile(p, x)
     if len(ev.dom) > MATERIALIZE_GUARD:
         raise ValueError(f"refusing to materialize 2^{len(ev.dom)} candidates")
     total = 1 << len(ev.dom)
@@ -226,7 +242,7 @@ def check_answer_set(p: Program, x, m) -> bool:
     m must be the candidate of its own assignment over x, model p and be minimal:
     a block of width 1.
     """
-    ev = _Evaluator(p, x)
+    ev = _compile(p, x)
     mm = check_atoms(p, m, "interpretation")
     val, failed, nonmin, scan = ev.block(sum(1 << i for i, a in enumerate(ev.dom) if a in mm), 1)
     return (not failed | nonmin and ev.candidate(val, 0) == mm
@@ -266,7 +282,7 @@ def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    ev = _Evaluator(p, x)
+    ev = _compile(p, x)
     total = 1 << len(ev.dom)
     blocks = total // BLOCK
     jobs = min(jobs, os.cpu_count() or 1, blocks)

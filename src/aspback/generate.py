@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from .program import ATOM_RE, Program, ProgramBuilder, RESERVED
 
 _MASK64 = (1 << 64) - 1
+# the names from_hitting_set gives its auxiliary atoms a_i_j and b_i_j
+_AUX_RE = re.compile(r"[ab]_[0-9]+_[0-9]+")
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -96,6 +99,8 @@ class HittingSetInstance:
             for e in s:
                 if not ATOM_RE.fullmatch(e) or e in RESERVED:
                     raise ValueError(f"bad element token {e!r}")
+                if _AUX_RE.fullmatch(e):
+                    raise ValueError(f"element {e!r} is named like an auxiliary atom")
 
     @staticmethod
     def from_ints(sets, k: int) -> "HittingSetInstance":

@@ -48,30 +48,10 @@ class Rule:
     def atoms(self) -> frozenset[int]:
         return self.head | self.pos_body | self.neg_body
 
-
-@dataclass(frozen=True)
-class RuleFlags:
-    negation_free: bool
-    normal: bool
-    constraint: bool
-    disjunction_free: bool
-    horn: bool
-    tautological: bool
-
-
-def rule_flags(r: Rule) -> RuleFlags:
-    negation_free = not r.neg_body
-    normal = len(r.head) == 1
-    constraint = not r.head
-    disjunction_free = len(r.head) <= 1
-    return RuleFlags(
-        negation_free=negation_free,
-        normal=normal,
-        constraint=constraint,
-        disjunction_free=disjunction_free,
-        horn=negation_free and disjunction_free,
-        tautological=bool(r.pos_body & (r.head | r.neg_body)),
-    )
+    @property
+    def tautological(self) -> bool:
+        """A positive body atom is also in the head or the negative body."""
+        return bool(self.pos_body & (self.head | self.neg_body))
 
 
 class Program:
@@ -290,13 +270,7 @@ ACYCLIC_CLASSES = frozenset({
 
 def core(p: Program) -> Program:
     """Drop tautological rules and constraints; the atom table is unchanged."""
-    kept = []
-    for r in p.rules:
-        f = rule_flags(r)
-        if f.tautological or f.constraint:
-            continue
-        kept.append(r)
-    return p.with_rules(kept)
+    return p.with_rules(r for r in p.rules if r.head and not r.tautological)
 
 
 def atom_mask(atoms: Iterable[int]) -> int:
@@ -330,7 +304,9 @@ class CompiledProgram:
         self.n_atoms = p.n_atoms
         self.rules = tuple((atom_mask(r.head), atom_mask(r.pos_body),
                             atom_mask(r.neg_body)) for r in p.rules)
-        self.occurring = atom_mask(p.occurring_atoms())
+        self.occurring = 0
+        for h, pos, neg in self.rules:
+            self.occurring |= h | pos | neg
         self.edges: dict[tuple[int, int, int], tuple] = {}
 
     def core(self, x: int = 0) -> list[tuple[int, int, int]]:

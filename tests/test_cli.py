@@ -181,6 +181,24 @@ def test_solve_modes(capsys, ex1_file):
     assert (code, out) == (0, "no\n")
 
 
+def test_solve_builds_one_program(capsys, tmp_path, monkeypatch):
+    # disjoint pairs reach the minimality scan; every scan masks the compiled
+    # rules, so the parse builds the only Program of the run
+    from aspback.evaluate import _Evaluator
+    from aspback.program import Program
+    f = tmp_path / "pairs.lp"
+    f.write_text("".join(f"a{i} | b{i}.\nc{i} :- a{i}.\nc{i} :- b{i}.\n" for i in range(12)))
+    built, scans = [], []
+    init, scan = Program.__init__, _Evaluator.scan
+    monkeypatch.setattr(Program, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    monkeypatch.setattr(_Evaluator, "scan",
+                        lambda self, mm: scans.append(1) or scan(self, mm))
+    code, out, _ = run(capsys, "solve", str(f), "--mode", "count", "--format", "json")
+    assert code == 0 and json.loads(out)["result"] == 4096
+    assert len(built) == 1 and len(scans) >= 4096
+
+
 def test_solve_atom_required(capsys, ex1_file):
     code, _, err = run(capsys, "solve", ex1_file, "--mode", "brave")
     assert code == 2 and "needs --atom" in err
@@ -314,6 +332,13 @@ def test_gen_hitting_taut_variant(capsys, tmp_path):
     f.write_text("k = 0\n1\n")
     code, out, _ = run(capsys, "gen", "hitting", str(f), "--variant", "taut")
     assert code == 0 and "a_1_1 :- e1, b_1_1, not e1." in out
+
+
+def test_gen_hitting_rejects_aux_named_element(capsys, tmp_path):
+    f = tmp_path / "inst.txt"
+    f.write_text("k=0\na_1_1\n")
+    code, out, err = run(capsys, "gen", "hitting", str(f))
+    assert code == 2 and out == "" and "a_1_1" in err
 
 
 def test_gen_copies(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      TargetClass, brute_min_backdoor, child_seed, find_backdoor,
                      horn_conflict_graph, in_target_class, parse_program,
-                     random_program, rule_flags, vertex_cover_min,
+                     random_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
 from aspback.detect import reducts_in_class
 from conftest import corpus, names_of
@@ -297,7 +297,7 @@ def test_strong_horn_witnesses_match_golden_table():
     programs = _strong_corpus()
     graphs = [horn_conflict_graph(p) for p in programs]
     assert sum(any(a == b for a, b in g.edges) for g in graphs) >= 100
-    assert sum(any(len(r.head) >= 3 and not rule_flags(r).tautological
+    assert sum(any(len(r.head) >= 3 and not r.tautological
                    for r in p.rules) for p in programs) >= 100
     assert len(programs) == len(STRONG_GOLDEN)
     for i, (p, want) in enumerate(zip(programs, STRONG_GOLDEN)):
@@ -361,7 +361,7 @@ def test_deletion_search_and_witnesses_match_golden_table():
     assert any(len(r.head) >= 2 for r in rules)
     assert any(not r.head for r in rules)
     assert any(r.pos_body & r.neg_body and r.head for r in rules)
-    assert sum(rule_flags(r).tautological for r in rules) >= 100
+    assert sum(r.tautological for r in rules) >= 100
     assert len(programs) == len(GOLDEN)
     for i, (p, want) in enumerate(zip(programs, GOLDEN)):
         assert _golden_row(p) == want, f"program {i}"

@@ -11,6 +11,7 @@ from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
                      mode_result, parse_program)
 from aspback import evaluate
 from aspback.evaluate import _Evaluator
+from aspback.program import CompiledProgram, atom_mask
 from conftest import corpus, names_of
 
 
@@ -153,7 +154,7 @@ def test_no_fork_within_one_block(fake_pool):
 def test_minimality_scan_matches_definition(ex1, ex1_ids):
     # scan(m) decides minimality of any model m, not only of candidates
     x = {ex1_ids["r"], ex1_ids["s"]}
-    ev = _Evaluator(ex1, x)
+    ev = _Evaluator(ex1.n_atoms, CompiledProgram(ex1).rules, atom_mask(x))
     verdicts = []
     for bits in range(1 << ex1.n_atoms):
         m = frozenset(a for a in range(ex1.n_atoms) if bits >> a & 1)
@@ -283,8 +284,8 @@ def test_matches_brute_on_disjunctive_corpus(monkeypatch):
     # superset of the witness puts more atoms into M n x, so scans look at more subsets
     scans = []
     scan = _Evaluator.scan
-    monkeypatch.setattr(_Evaluator, "scan",
-                        lambda self, mm: scans.append(len(mm & self.xset)) or scan(self, mm))
+    monkeypatch.setattr(_Evaluator, "scan", lambda self, mm:
+                        scans.append(len(mm.intersection(self.dom))) or scan(self, mm))
     rng, pick = random.Random(2013), random.Random(2015)
     for _ in range(300):
         p = _mixed_program(rng, rng.randint(1, 10))
@@ -332,7 +333,7 @@ def test_one_propagation_matches_subset_scan(monkeypatch):
     checked = 0
     for p in corpus(60, seed=31, n_atoms=9, density=2.0):
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
-        ev = _Evaluator(p, x)
+        ev = _Evaluator(p.n_atoms, CompiledProgram(p).rules, atom_mask(x))
         for c in candidate_sets(p, x):
             if is_model(p, c.combined):
                 fast = check_answer_set(p, x, c.combined)

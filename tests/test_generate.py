@@ -4,7 +4,7 @@ import pytest
 
 from aspback import (GenConfig, HittingSetInstance, TargetClass, brute_answer_sets,
                      child_seed, disjoint_copies, from_hitting_set, parse_hitting_set,
-                     parse_program, random_program, render_program, rule_flags,
+                     parse_program, random_program, render_program,
                      in_target_class, vertex_cover_min, horn_conflict_graph)
 from conftest import program_sigs
 
@@ -36,7 +36,7 @@ def test_rule_count_and_shape():
         assert len(r.pos_body) + len(r.neg_body) == 3
         assert not r.head & r.body
         assert not r.pos_body & r.neg_body
-        assert not rule_flags(r).tautological
+        assert not r.tautological
 
 
 def test_neg_prob_extremes():
@@ -67,6 +67,16 @@ def test_hitting_instance_validation():
         HittingSetInstance((frozenset({"not"}),), 1)
     with pytest.raises(ValueError):
         HittingSetInstance((frozenset({"1bad"}),), 1)
+
+
+def test_hitting_elements_never_named_like_aux_atoms():
+    # the encoding names its own atoms a_i_j and b_i_j: an element a_1_1
+    # would silently become the auxiliary atom of set 1, copy 1
+    for e in ("a_1_1", "b_1_1", "a_12_3"):
+        with pytest.raises(ValueError, match="auxiliary"):
+            HittingSetInstance((frozenset({e}),), 0)
+    for e in ("a_1", "a1_1_1", "c_1_1", "a_1_x"):
+        HittingSetInstance((frozenset({e}),), 0)
 
 
 def test_hitting_from_ints_and_hit_by():
@@ -103,9 +113,9 @@ def test_encoding_tautology_split():
     inst = HittingSetInstance.from_ints([[1, 2]], 1)
     taut = from_hitting_set(inst, "taut")
     a_rules = [r for r in taut.rules if len(r.pos_body) > 1]
-    assert a_rules and all(rule_flags(r).tautological for r in a_rules)
+    assert a_rules and all(r.tautological for r in a_rules)
     full = from_hitting_set(inst, "full")
-    assert all(not rule_flags(r).tautological for r in full.rules)
+    assert all(not r.tautological for r in full.rules)
 
 
 def test_full_encoding_backdoor_equivalence_small():

@@ -6,7 +6,7 @@ import pytest
 from aspback import (GenConfig, ParseError, Program, ProgramBuilder, Rule,
                      TargetClass, child_seed, core, in_target_class,
                      parse_program, random_program, render_program,
-                     render_rule, rule_flags)
+                     render_rule)
 
 from conftest import EX1_TEXT, program_sigs
 
@@ -195,17 +195,12 @@ def test_render_constraint_and_fact():
 
 def test_rule_flags_classification():
     p = parse_program("a :- b.  a | c :- b.  :- b.  a :- not b.  a :- a, b.")
-    f = [rule_flags(r) for r in p.rules]
-    assert f[0].horn and f[0].normal and not f[0].constraint
-    assert not f[1].horn and not f[1].normal and not f[1].disjunction_free
-    assert f[2].constraint and f[2].horn
-    assert not f[3].negation_free and not f[3].horn and f[3].normal
-    assert f[4].tautological
+    assert [r.tautological for r in p.rules] == [False, False, False, False, True]
 
 
 def test_tautological_via_neg_body():
     p = parse_program("a :- b, not b.")
-    assert rule_flags(p.rules[0]).tautological
+    assert p.rules[0].tautological
 
 
 def test_core_drops_tautologies_and_constraints():

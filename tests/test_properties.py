@@ -13,8 +13,9 @@ from aspback import (ACYCLIC_CLASSES, TargetClass, brute_answer_sets, build_udg,
                      candidate_sets, core, delete_atoms, find_directed_cycle,
                      find_undirected_cycle, gl_reduct, horn_conflict_graph,
                      in_target_class, parse_program, random_program, render_program,
-                     rule_flags, ta_reduct, verify_backdoor, witness_cycle,
+                     ta_reduct, verify_backdoor, witness_cycle,
                      GenConfig, TruthAssignment, assignments_over, build_ddg)
+from aspback.program import CompiledProgram
 
 NAMES = [f"a{i}" for i in range(6)]
 
@@ -61,8 +62,10 @@ def test_core_idempotent_and_sound(text):
     p = parse_program(text)
     c = core(p)
     assert core(c) == c
-    assert all(not rule_flags(r).tautological and r.head for r in c.rules)
+    assert all(not r.tautological and r.head for r in c.rules)
     assert c.n_atoms == p.n_atoms
+    assert ([r.tautological for r in p.rules]
+            == [bool(pos & (h | neg)) for h, pos, neg in CompiledProgram(p).rules])
 
 
 @given(programs, st.integers(0, 63))
@@ -121,7 +124,7 @@ def test_witness_chains_match_membership(p):
 @settings(max_examples=80)
 def test_strong_iff_deletion_horn_without_tautologies(p, xmask):
     # generated rules never overlap head and body, so no rule is tautological
-    assert all(not rule_flags(r).tautological for r in p.rules)
+    assert all(not r.tautological for r in p.rules)
     x = {a for a in range(p.n_atoms) if xmask >> a & 1}
     assert (verify_backdoor(p, x, TargetClass.HORN, "strong")
             == verify_backdoor(p, x, TargetClass.HORN, "deletion"))
