@@ -11,8 +11,8 @@ on a maximum-degree vertex or on all of its neighbours; a greedy matching is
 the lower bound.  Deletion detection branches on head atoms of
 normality-violating rules and on atom vertices of forbidden cycles, over
 deletion masks of the program compiled into rule bitmasks; one memo maps
-each mask to its violation (one pass over the rule masks, then a component
-pass over the dependency graph).  Its nodes are pruned by a greedy packing of
+each mask to its violation (rule masks ORed into per-atom adjacency masks,
+then depgraph's cycle search).  Its nodes are pruned by a greedy packing of
 atom-disjoint violations, sound only until a packed violation meets an atom
 whose deletion can wake a tautological rule; the packing stops there.
 
@@ -186,25 +186,22 @@ def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int
     forced = sorted({a for a, b in g.edges if a == b})
     if k is not None and len(forced) > k:
         return None, 0
-    fset = set(forced)
-    adj: dict[int, set[int]] = {}
-    for a, b in g.edges:
-        if a == b or a in fset or b in fset:
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    fmask = atom_mask(forced)
+    edges = [(a, b) for a, b in g.edges if a != b and not (fmask >> a | fmask >> b) & 1]
+    adj = [0] * g.n_atoms
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
 
-    # adj is symmetric, so its strongly connected components are the
-    # connected ones; they come out ordered by their smallest vertex, and
-    # each is relabelled 0..m-1 in ascending atom order
-    label = _components(adj)
-    comps: dict[int, list[int]] = {}
-    for v in sorted(adj):
-        comps.setdefault(label[v], []).append(v)
-    comp_adjs = []
-    for vs in comps.values():
-        index = {v: i for i, v in enumerate(vs)}
-        comp_adjs.append((vs, [atom_mask(index[w] for w in adj[v]) for v in vs]))
+    # adj is symmetric, so its strongly connected components are the connected
+    # ones; each, at its smallest vertex, is relabelled 0..m-1 in atom order
+    comps = [cm for v, cm in enumerate(_components(adj)) if cm & -cm == 1 << v]
+    comp_adjs = [(atoms_of(cm), [0] * cm.bit_count()) for cm in comps]
+    local = {w: (c, i) for c, (vs, _) in enumerate(comp_adjs) for i, w in enumerate(vs)}
+    for a, b in edges:
+        (c, i), (_, j) = local[a], local[b]
+        comp_adjs[c][1][i] |= 1 << j
+        comp_adjs[c][1][j] |= 1 << i
     match_lbs = [_matching_lb(ca, (1 << len(ca)) - 1) for _, ca in comp_adjs]
 
     remaining = (k - len(forced)) if k is not None else None

@@ -294,11 +294,10 @@ class CompiledProgram:
     A set of deleted atoms is one mask x, and core(x) is the core of the
     program with x deleted, computed from the masks without building a
     Program.  Build one per search or membership test; Program itself never
-    compiles.  ``edges`` caches the dependency edges of each rule mask
-    triple that depgraph has built a graph from.
+    compiles.
     """
 
-    __slots__ = ("n_atoms", "occurring", "rules", "edges")
+    __slots__ = ("n_atoms", "occurring", "rules")
 
     def __init__(self, p: Program):
         self.n_atoms = p.n_atoms
@@ -307,7 +306,6 @@ class CompiledProgram:
         self.occurring = 0
         for h, pos, neg in self.rules:
             self.occurring |= h | pos | neg
-        self.edges: dict[tuple[int, int, int], tuple] = {}
 
     def core(self, x: int = 0) -> list[tuple[int, int, int]]:
         """Masks of the rules of core(delete_atoms(p, x)), in rule order.
@@ -334,10 +332,11 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0) -> int:
 
     Horn: the head and negative body of the first non-Horn rule.  Acyclicity
     classes: the head of the first non-normal rule, else the atom vertices of
-    the forbidden cycle that depgraph.core_witness finds.  Every violation
-    has an atom outside x.  Deleting a positive body atom never makes a rule
-    Horn (rules never become tautological by deletion), so the Horn
-    violation leaves out positive bodies.
+    the forbidden cycle that depgraph.core_witness finds on adjacency masks
+    ORed from these rule masks.  Every violation has an atom outside x.
+    Deleting a positive body atom never makes a rule Horn (rules never
+    become tautological by deletion), so the Horn violation leaves out
+    positive bodies.
     """
     rules = cp.core(x)
     if c is TargetClass.HORN:

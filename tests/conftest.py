@@ -1,6 +1,7 @@
 import pytest
 
-from aspback import GenConfig, child_seed, parse_program, random_program
+from aspback import (GenConfig, TargetClass, build_ddg, build_udg, child_seed, core,
+                     parse_program, random_program)
 
 EX1_TEXT = """
 s :- w.
@@ -45,3 +46,23 @@ def corpus(count, seed, n_atoms=8, density=None, body_len=2, neg_prob=0.5):
                         neg_prob=neg_prob, seed=child_seed(seed, i))
         out.append(random_program(cfg))
     return out
+
+
+def check_witness(p, c, w):
+    """w is a cycle of the graph of core(p), flagged bad exactly when it uses
+    a negative edge or vertex, and bad whenever class c forbids only those."""
+    verts = w.vertices
+    steps = list(zip(verts, verts[1:] + verts[:1]))
+    assert len(set(verts)) == len(verts)
+    if w.kind == "directed":
+        d = build_ddg(core(p))
+        assert all(e in d.edges for e in steps)
+        assert w.bad == any(e in d.negative for e in steps)
+    else:
+        g = build_udg(core(p))
+        assert all(b in g.adj.get(a, ()) for a, b in steps)
+        # two vertices close a cycle only through a subdivided self-loop
+        assert len(verts) > 2 or g.adj[verts[0]].count(verts[1]) == 2
+        assert w.bad == any(v >= g.n_atoms for v in verts)
+    if c in (TargetClass.STRAT, TargetClass.BC_ACYC):
+        assert w.bad

@@ -150,3 +150,60 @@ def test_dot_outputs(ex1):
 def test_dot_deterministic(ex1):
     assert dot_ddg(ex1) == dot_ddg(ex1)
     assert dot_udg(ex1) == dot_udg(ex1)
+
+
+# witnesses recorded from the dict-graph search that the mask search
+# replaced; each component here is one simple cycle, or a cycle plus a chord
+CYCLE_CLASSES = (TargetClass.C_ACYC, TargetClass.BC_ACYC, TargetClass.DC_ACYC,
+                 TargetClass.DC2_ACYC, TargetClass.STRAT)
+
+
+def _witnesses(text):
+    p = parse_program(text)
+    out = []
+    for c in CYCLE_CLASSES:
+        w = witness_cycle(p, c)
+        out.append((w.kind[0], w.vertices, w.bad, describe_witness(p, w)))
+    return out
+
+
+def test_long_negative_cycle_with_chord():
+    # 13 edges on 12 atoms: not one simple cycle, so the chord's shortcut
+    # must be found by search
+    text = "".join(f"a{k} :- not a{(k + 1) % 12}.\n" for k in range(12)) + "a0 :- a6.\n"
+    und = ("u", (0, 6, 17, 5, 16, 4, 15, 3, 14, 2, 13, 1, 12), True,
+           "(a0, a6, v_(a5,a6), a5, v_(a4,a5), a4, v_(a3,a4), a3, v_(a2,a3), "
+           "a2, v_(a1,a2), a1, v_(a0,a1))")
+    short = ("d", (0, 6, 7, 8, 9, 10, 11), True, "(a0, a6, a7, a8, a9, a10, a11)")
+    assert _witnesses(text) == [und, und, short, short, short]
+
+
+def test_positive_two_cycle_beside_negative_cycle():
+    # dc2-acyc permits the positive two-cycle component, so the longer
+    # negative cycle is its witness; dc-acyc forbids the two-cycle
+    text = "p :- q.\nq :- p.\n" + "".join(f"b{k} :- not b{(k + 1) % 4}.\n" for k in range(4))
+    und = ("u", (2, 9, 5, 8, 4, 7, 3, 6), True,
+           "(b0, v_(b3,b0), b3, v_(b2,b3), b2, v_(b1,b2), b1, v_(b0,b1))")
+    bad4 = ("d", (2, 3, 4, 5), True, "(b0, b1, b2, b3)")
+    assert _witnesses(text) == [und, und, ("d", (0, 1), False, "(p, q)"), bad4, bad4]
+
+
+def test_disjoint_cycles_tie_goes_to_first_candidate():
+    # cycles of 5, 3 and 3 atoms: the first of the two shortest wins
+    text = "".join(f"{a}{k} :- not {a}{(k + 1) % m}.\n"
+                   for a, m in (("a", 5), ("b", 3), ("c", 3)) for k in range(m))
+    und = ("u", (5, 18, 7, 17, 6, 16), True,
+           "(b0, v_(b2,b0), b2, v_(b1,b2), b1, v_(b0,b1))")
+    three = ("d", (5, 6, 7), True, "(b0, b1, b2)")
+    assert _witnesses(text) == [und, und, three, three, three]
+
+
+def test_long_negative_cycle_witnesses():
+    # one simple cycle: settled without a breadth-first search per edge, so
+    # this runs in well under a second
+    k = 3000
+    p = parse_program("".join(f"a{j} :- not a{(j + 1) % k}.\n" for j in range(k)))
+    for c in CYCLE_CLASSES:
+        w = witness_cycle(p, c)
+        assert w.bad and w.vertices[0] == 0
+        assert len(w.vertices) == (2 * k if w.kind == "undirected" else k)
