@@ -19,17 +19,19 @@ import time
 
 from . import __version__
 from .detect import BackdoorQuery, find_backdoor
-from .depgraph import (describe_witness, dot_ddg, dot_incidence, dot_udg,
-                       witness_cycle)
+from .depgraph import (core_witness, describe_witness, dot_ddg,
+                       dot_incidence, dot_udg)
 from .evaluate import REASON_MODES, answer_sets, mode_result
 from .generate import (GenConfig, HITTING_VARIANTS, child_seed,
                        disjoint_copies, from_hitting_set, parse_hitting_set,
                        random_program)
 from .oracle import brute_answer_sets
-from .program import (ACYCLIC_CLASSES, ParseError, Program, TargetClass,
-                      in_target_class, parse_program, render_program)
-# not called here, but perfbench/tracer.py wraps cli.verify_backdoor by this name
+from .program import (ACYCLIC_CLASSES, CompiledProgram, ParseError, Program,
+                      TargetClass, parse_program, render_program, violation)
+# not called here, but perfbench/tracer.py wraps these three names in cli
+from .depgraph import witness_cycle  # noqa: F401
 from .detect import verify_backdoor  # noqa: F401
+from .program import in_target_class  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -82,7 +84,7 @@ def _cmd_parse(args) -> int:
     if args.format == "json":
         _emit_json({
             "atoms": p.n_atoms,
-            "rules": len(p.rules),
+            "rules": len(p.rule_parts),
             "duplicate_literals": p.duplicate_literals,
             "text": render_program(p),
         })
@@ -93,18 +95,20 @@ def _cmd_parse(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = _load(args.file)
+    cp = CompiledProgram(p)
+    rules = cp.core()
     rows = []
     for c in TargetClass:
         why = ""
         if c in ACYCLIC_CLASSES:
             # the head atoms of a non-normal rule form a bad two-cycle, so
             # the one witness decides membership
-            w = witness_cycle(p, c)
+            w = core_witness(cp, rules, c)
             member = w is None
             if w is not None:
                 why = f"{'bad ' if w.bad else ''}{w.kind} cycle {describe_witness(p, w)}"
         else:
-            member = in_target_class(p, c)
+            member = violation(cp, c) == 0
         rows.append((c.value, member, why))
     if args.format == "json":
         _emit_json({"classes": {name: {"member": member, "reason": why}
@@ -119,13 +123,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    p = _load(args.file)
-    if args.which == "ddg":
-        print(dot_ddg(p))
-    elif args.which == "udg":
-        print(dot_udg(p))
-    else:
-        print(dot_incidence(p))
+    dot = {"ddg": dot_ddg, "udg": dot_udg, "incidence": dot_incidence}[args.which]
+    print(dot(_load(args.file)))
     return EXIT_OK
 
 
@@ -266,7 +265,7 @@ def _stats_row(path: str, target: TargetClass, kind: str):
     ms = (time.perf_counter() - t0) * 1000.0
     size = len(res.witness) if res.witness is not None else None
     frac = (size / n_occ) if (size is not None and n_occ) else 0.0
-    return {"file": path, "atoms": n_occ, "rules": len(p.rules),
+    return {"file": path, "atoms": n_occ, "rules": len(p.rule_parts),
             "size": size, "fraction": frac, "wall_ms": ms}
 
 

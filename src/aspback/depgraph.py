@@ -390,8 +390,8 @@ class IncidenceGraph:
 
 
 def incidence_graph(p: Program) -> IncidenceGraph:
-    edges = {(i, a) for i, r in enumerate(p.rules) for a in r.atoms}
-    return IncidenceGraph(len(p.rules), p.n_atoms, frozenset(edges))
+    edges = {(i, a) for i, r in enumerate(p.rule_parts) for part in r for a in part}
+    return IncidenceGraph(len(p.rule_parts), p.n_atoms, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .depgraph import _components
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atom_mask, atoms_of, in_target_class, violation)
+                      atom_mask, atoms_of, in_target_class, tautological, violation)
 from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
 # not called here, but perfbench/tracer.py wraps detect.core and
 # detect.witness_cycle by these names
@@ -62,14 +62,14 @@ class ConflictGraph:
 
 def horn_conflict_graph(p: Program) -> ConflictGraph:
     edges: set[tuple[int, int]] = set()
-    for r in p.rules:
-        if r.tautological:
+    for h, pos, neg in p.rule_parts:
+        if tautological(h, pos, neg):
             continue
-        hs = sorted(r.head)
+        hs = sorted(h)
         for i, x in enumerate(hs):
             for y in hs[i + 1:]:
                 edges.add((x, y))
-            for y in r.neg_body:
+            for y in neg:
                 edges.add((x, y) if x <= y else (y, x))
     return ConflictGraph(p.n_atoms, frozenset(edges))
 
@@ -381,7 +381,7 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
     """
     if query.target is TargetClass.HORN and (
             query.kind == "strong"
-            or not any(r.tautological for r in p.rules)):
+            or not any(tautological(*r) for r in p.rule_parts)):
         witness, nodes = _vc_min(horn_conflict_graph(p), query.k)
     elif query.kind == "deletion":
         witness, nodes = _deletion_search(p, query.target, query.k)

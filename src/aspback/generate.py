@@ -108,14 +108,7 @@ class HittingSetInstance:
             tuple(frozenset(f"e{i}" for i in s) for s in sets), k)
 
     def elements(self) -> list[str]:
-        out: list[str] = []
-        seen: set[str] = set()
-        for s in self.sets:
-            for e in sorted(s):
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-        return out
+        return list(dict.fromkeys(e for s in self.sets for e in sorted(s)))
 
     def hit_by(self, chosen) -> bool:
         c = set(chosen)
@@ -136,11 +129,9 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         k = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise ValueError(f"bad k line {lines[0]!r}") from None
-    sets = []
-    for ln in lines[1:]:
-        sets.append(frozenset(
-            f"e{tok}" if tok.isdigit() else tok for tok in ln.split()))
-    return HittingSetInstance(tuple(sets), k)
+    return HittingSetInstance(tuple(
+        frozenset(f"e{tok}" if tok.isdigit() else tok for tok in ln.split())
+        for ln in lines[1:]), k)
 
 
 HITTING_VARIANTS = ("taut", "full")
@@ -180,8 +171,6 @@ def disjoint_copies(p: Program, n: int) -> Program:
     b = ProgramBuilder()
     for i in range(1, n + 1):
         suffix = f"_c{i}"
-        for r in p.rules:
-            b.add_rule([p.atom_name(a) + suffix for a in sorted(r.head)],
-                       [p.atom_name(a) + suffix for a in sorted(r.pos_body)],
-                       [p.atom_name(a) + suffix for a in sorted(r.neg_body)])
+        for r in p.rule_parts:
+            b.add_rule(*([p.atom_name(a) + suffix for a in sorted(part)] for part in r))
     return b.build()

@@ -11,13 +11,8 @@ from .program import Program
 def is_model(p: Program, m: Iterable[int]) -> bool:
     """Classical satisfaction: every rule r has (H u B-) meeting M or B+ \\ M nonempty."""
     mm = frozenset(m)
-    for r in p.rules:
-        if (r.head | r.neg_body) & mm:
-            continue
-        if r.pos_body - mm:
-            continue
-        return False
-    return True
+    return not any(mm.isdisjoint(h) and mm.isdisjoint(neg) and mm.issuperset(pos)
+                   for h, pos, neg in p.rule_parts)
 
 
 def propagate_definite(definite: list[tuple[int, frozenset[int]]]) -> frozenset[int]:

@@ -4,9 +4,12 @@ A rule has the shape
 
     h1 | ... | hk :- b1, ..., bm, not c1, ..., not cn.
 
-with all three parts stored as sets of atom ids.  Atoms are interned into a
-per-program table in order of first occurrence, so ids are dense and stable
-under render/parse round trips.
+with the three parts stored as (head, pos, neg) atom ids: tuples of
+distinct ids in a parsed or ProgramBuilder program, whose Rule objects
+(frozensets) are built on the first read of Program.rules, or the Rules a
+program was built from.  Atoms are interned into a per-program table in
+order of first occurrence, so ids are dense and stable under render/parse
+round trips.
 """
 
 from __future__ import annotations
@@ -34,11 +37,22 @@ class ParseError(Exception):
         self.col = col
 
 
+def tautological(head, pos, neg) -> bool:
+    """A positive body atom is also in the head or the negative body."""
+    for a in pos:
+        if a in head or a in neg:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class Rule:
     head: frozenset[int]
     pos_body: frozenset[int]
     neg_body: frozenset[int]
+
+    def __iter__(self):  # unpacks as (head, pos_body, neg_body)
+        return iter((self.head, self.pos_body, self.neg_body))
 
     @property
     def body(self) -> frozenset[int]:
@@ -50,29 +64,40 @@ class Rule:
 
     @property
     def tautological(self) -> bool:
-        """A positive body atom is also in the head or the negative body."""
-        return bool(self.pos_body & (self.head | self.neg_body))
+        return tautological(*self)
 
 
 class Program:
-    """Immutable program: an atom table plus an ordered list of rules."""
+    """Immutable program: an atom table plus an ordered list of rules.
 
-    __slots__ = ("atom_names", "rules", "duplicate_literals", "_name_to_id")
+    rule_parts holds each rule as (head, pos, neg) atom ids: tuples, built
+    into Rules on the first read of rules, which then replace them; or the
+    Rules given to __init__, each of which unpacks into its three sets.
+    """
+
+    __slots__ = ("atom_names", "rule_parts", "duplicate_literals",
+                 "_name_to_id", "_rules")
 
     def __init__(self, atom_names: Sequence[str], rules: Sequence[Rule],
                  duplicate_literals: int = 0):
         self.atom_names: tuple[str, ...] = tuple(atom_names)
-        self.rules: tuple[Rule, ...] = tuple(rules)
+        self.rule_parts = self._rules = tuple(rules)
         # parse-time metadata, not part of structural equality
         self.duplicate_literals = duplicate_literals
         self._name_to_id = {n: i for i, n in enumerate(self.atom_names)}
         if len(self._name_to_id) != len(self.atom_names):
             raise ValueError("duplicate atom name in table")
         n = len(self.atom_names)
-        for r in self.rules:
+        for r in self._rules:
             for a in r.atoms:
                 if not (0 <= a < n):
                     raise ValueError(f"rule mentions unknown atom id {a}")
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        if self._rules is None:
+            self.rule_parts = self._rules = tuple(Rule(*map(frozenset, r)) for r in self.rule_parts)
+        return self._rules
 
     @property
     def n_atoms(self) -> int:
@@ -90,8 +115,8 @@ class Program:
     def occurring_atoms(self) -> frozenset[int]:
         """Atoms mentioned by at least one rule (at(P))."""
         out: set[int] = set()
-        for r in self.rules:
-            out |= r.atoms
+        for h, pos, neg in self.rule_parts:
+            out.update(h, pos, neg)
         return frozenset(out)
 
     def with_rules(self, rules: Iterable[Rule]) -> "Program":
@@ -107,34 +132,40 @@ class Program:
         return hash((self.atom_names, self.rules))
 
     def __repr__(self) -> str:
-        return f"Program({self.n_atoms} atoms, {len(self.rules)} rules)"
+        return f"Program({self.n_atoms} atoms, {len(self.rule_parts)} rules)"
 
 
 class ProgramBuilder:
-    """Interns atom names in first-use order and collects rules."""
+    """Interns atom names in first-use order and collects rules as tuples of
+    distinct ids (see Program); parse_program fills one as well."""
 
     def __init__(self) -> None:
         # insertion ordered, so the keys are the atom table
         self._ids: dict[str, int] = {}
-        self._rules: list[Rule] = []
+        self._rules: list[tuple] = []
         self.duplicate_literals = 0
 
     def intern(self, name: str) -> int:
         return self._ids.setdefault(name, len(self._ids))
 
-    def _part(self, names: Iterable[str]) -> frozenset[int]:
-        ids = self._ids
-        got = [ids.setdefault(n, len(ids)) for n in names]
-        part = frozenset(got)
-        self.duplicate_literals += len(got) - len(part)
-        return part
-
     def add_rule(self, head: Iterable[str], pos: Iterable[str] = (),
                  neg: Iterable[str] = ()) -> None:
-        self._rules.append(Rule(self._part(head), self._part(pos), self._part(neg)))
+        ids = self._ids
+        self._add(*([ids.setdefault(n, len(ids)) for n in part] for part in (head, pos, neg)))
+
+    def _add(self, head: list[int], pos: list[int], neg: list[int]) -> None:
+        """Add a rule of interned ids, dropping (and counting) repeats."""
+        rule = (tuple(head) if len(head) < 2 else tuple(dict.fromkeys(head)),
+                tuple(pos) if len(pos) < 2 else tuple(dict.fromkeys(pos)),
+                tuple(neg) if len(neg) < 2 else tuple(dict.fromkeys(neg)))
+        self.duplicate_literals += len(head) + len(pos) + len(neg) - sum(map(len, rule))
+        self._rules.append(rule)
 
     def build(self) -> Program:
-        return Program(self._ids, self._rules, self.duplicate_literals)
+        p = Program.__new__(Program)  # unchecked: every id came from self._ids
+        p.atom_names, p._name_to_id, p._rules = tuple(self._ids), dict(self._ids), None
+        p.rule_parts, p.duplicate_literals = tuple(self._rules), self.duplicate_literals
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -184,35 +215,39 @@ def parse_program(text: str | bytes) -> Program:
         i = min(toks.index(t) for t in bad)
         raise _error(text, i, f"unexpected character {toks[i]!r}")
     b = ProgramBuilder()
+    ids = b._ids
     it = enumerate(toks)  # it ends with EOF, which nothing steps past
     i, t = next(it)
     while t:
-        head: list[str] = []
-        pos_body: list[str] = []
-        neg_body: list[str] = []
+        # interned as read, the negative body after the rule, as add_rule does
+        head: list[int] = []
+        pos: list[int] = []
+        neg_names: list[str] = []
         if t != ":-":
             if t in _NOT_ATOM:
                 raise _error(text, i, f"expected rule, got {t!r}")
-            head.append(t)
+            head.append(ids.setdefault(t, len(ids)))
             i, t = next(it)
             while t == "|":
                 i, t = next(it)
                 if t in _NOT_ATOM:
                     raise _error(text, i, f"expected atom, got {_got(t)}")
-                head.append(t)
+                head.append(ids.setdefault(t, len(ids)))
                 i, t = next(it)
         if t == ":-":
             i, t = next(it)
             if t == ".":
                 raise _error(text, i, "empty body after ':-'")
             while True:
-                part = pos_body
-                if t == "not":
-                    part = neg_body
+                negated = t == "not"
+                if negated:
                     i, t = next(it)
                 if t in _NOT_ATOM:
                     raise _error(text, i, f"expected atom, got {_got(t)}")
-                part.append(t)
+                if negated:
+                    neg_names.append(t)
+                else:
+                    pos.append(ids.setdefault(t, len(ids)))
                 i, t = next(it)
                 if t != ",":
                     break
@@ -220,18 +255,20 @@ def parse_program(text: str | bytes) -> Program:
         if t != ".":
             raise _error(text, i, f"expected '.', got {_got(t)}")
         i, t = next(it)
-        b.add_rule(head, pos_body, neg_body)
+        b._add(head, pos, [ids.setdefault(n, len(ids)) for n in neg_names])
     return b.build()
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-def render_rule(p: Program, r: Rule) -> str:
-    """One statement of program text; parts are listed in atom-id order."""
-    head = " | ".join(p.atom_name(a) for a in sorted(r.head))
-    body = [p.atom_name(a) for a in sorted(r.pos_body)]
-    body += ["not " + p.atom_name(a) for a in sorted(r.neg_body)]
+def render_rule(p: Program, r) -> str:
+    """One statement of program text for a Rule or a (head, pos, neg) triple
+    of atom ids; parts are listed in atom-id order."""
+    h, pos, neg = r
+    head = " | ".join(p.atom_name(a) for a in sorted(h))
+    body = [p.atom_name(a) for a in sorted(pos)]
+    body += ["not " + p.atom_name(a) for a in sorted(neg)]
     if not body:
         # an all-empty rule only arises internally, after atom deletion
         return head + "." if head else ":-."
@@ -240,7 +277,7 @@ def render_rule(p: Program, r: Rule) -> str:
 
 
 def render_program(p: Program) -> str:
-    return "".join(render_rule(p, r) + "\n" for r in p.rules)
+    return "".join(render_rule(p, r) + "\n" for r in p.rule_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +338,8 @@ class CompiledProgram:
 
     def __init__(self, p: Program):
         self.n_atoms = p.n_atoms
-        self.rules = tuple((atom_mask(r.head), atom_mask(r.pos_body),
-                            atom_mask(r.neg_body)) for r in p.rules)
+        self.rules = tuple((atom_mask(h), atom_mask(pos), atom_mask(neg))
+                           for h, pos, neg in p.rule_parts)
         self.occurring = 0
         for h, pos, neg in self.rules:
             self.occurring |= h | pos | neg

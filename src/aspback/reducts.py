@@ -121,5 +121,5 @@ def delete_atoms(p: Program, x: Iterable[int]) -> Program:
     from the table are ignored.
     """
     xx = frozenset(x)
-    kept = [Rule(r.head - xx, r.pos_body - xx, r.neg_body - xx) for r in p.rules]
+    kept = [Rule(*(frozenset(part) - xx for part in r)) for r in p.rule_parts]
     return p.with_rules(kept)

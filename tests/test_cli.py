@@ -181,22 +181,51 @@ def test_solve_modes(capsys, ex1_file):
     assert (code, out) == (0, "no\n")
 
 
+def _count_builds(monkeypatch):
+    """Live counts of Program constructions, by either path, and of Rules."""
+    from aspback.program import Program, ProgramBuilder, Rule
+    built = {"program": 0, "rule": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **kw):
+            built[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+    monkeypatch.setattr(Program, "__init__", counted("program", Program.__init__))
+    monkeypatch.setattr(ProgramBuilder, "build", counted("program", ProgramBuilder.build))
+    monkeypatch.setattr(Rule, "__init__", counted("rule", Rule.__init__))
+    return built
+
+
 def test_solve_builds_one_program(capsys, tmp_path, monkeypatch):
     # disjoint pairs reach the minimality scan; every scan masks the compiled
-    # rules, so the parse builds the only Program of the run
+    # rules, so the parse builds the only Program of the run, and no Rule
     from aspback.evaluate import _Evaluator
-    from aspback.program import Program
     f = tmp_path / "pairs.lp"
     f.write_text("".join(f"a{i} | b{i}.\nc{i} :- a{i}.\nc{i} :- b{i}.\n" for i in range(12)))
-    built, scans = [], []
-    init, scan = Program.__init__, _Evaluator.scan
-    monkeypatch.setattr(Program, "__init__",
-                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    scans = []
+    scan = _Evaluator.scan
     monkeypatch.setattr(_Evaluator, "scan",
                         lambda self, mm: scans.append(1) or scan(self, mm))
+    built = _count_builds(monkeypatch)
     code, out, _ = run(capsys, "solve", str(f), "--mode", "count", "--format", "json")
     assert code == 0 and json.loads(out)["result"] == 4096
-    assert len(built) == 1 and len(scans) >= 4096
+    assert built == {"program": 1, "rule": 0} and len(scans) >= 4096
+
+
+@pytest.mark.parametrize("argv", [
+    ("backdoor", "--target", "horn"), ("backdoor", "--target", "horn", "--kind", "deletion"),
+    ("backdoor", "--target", "strat", "--kind", "deletion"),
+    ("classify",), ("parse",), ("stats",)])
+def test_commands_build_one_program_and_no_rule(capsys, tmp_path, monkeypatch, argv):
+    # a disjunction, a tautology and negative cycles: every class fails
+    f = tmp_path / "p.lp"
+    f.write_text(EX1_TEXT + "a | b :- t.\nc :- c, not a.\n")
+    built = _count_builds(monkeypatch)
+    code, out, _ = run(capsys, argv[0], str(f), *argv[1:], "--format", "json")
+    assert code == 0 and built == {"program": 1, "rule": 0}
+    if argv[0] == "classify":
+        assert not any(c["member"] for c in json.loads(out)["classes"].values())
 
 
 def test_solve_atom_required(capsys, ex1_file):

@@ -263,3 +263,48 @@ def test_atom_lookup_errors(ex1):
     with pytest.raises(KeyError):
         ex1.atom_id("nope")
     assert not ex1.has_atom("nope")
+
+
+DUPLICATE_LITERALS = (
+    "a | a | b :- c, c, not d, not d.",
+    "a | a.  :- b, b.  :- not c, not c, not c.",
+    "a :- a, a, not a, not a.  b | b :- not b, b, b.",
+)
+
+
+def test_parsed_rule_parts_agree_with_rule_built_twin():
+    # a parsed program reads its id tuples where a program built from the
+    # same Rules reads their frozensets; every view must come out the same
+    from aspback import BackdoorQuery, find_backdoor, horn_conflict_graph
+    from aspback.program import CompiledProgram
+    from test_detect import _golden_corpus
+    # a rendered golden program with an all-empty rule (":-.") does not parse
+    texts = [render_program(p) for p in _golden_corpus()]
+    texts = [t for t in texts + list(_mutants(3000)) + list(DUPLICATE_LITERALS)
+             if not _outcome(t).startswith("error ")]
+    queries = [BackdoorQuery(TargetClass.HORN), BackdoorQuery(TargetClass.HORN, "deletion"),
+               BackdoorQuery(TargetClass.STRAT, "deletion")]
+    dups = 0
+    for text in texts:
+        p = parse_program(text)
+        twin = Program(p.atom_names, parse_program(text).rules)
+        dups += p.duplicate_literals
+        assert render_program(p) == render_program(twin), text
+        assert CompiledProgram(p).rules == CompiledProgram(twin).rules, text
+        assert p.occurring_atoms() == twin.occurring_atoms(), text
+        assert horn_conflict_graph(p) == horn_conflict_graph(twin), text
+        for q in queries:
+            assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
+        assert p == twin and hash(p) == hash(twin), text
+    assert len(texts) > 1000 and dups >= 11
+
+
+def test_parse_deduplicates_each_part():
+    p = parse_program(DUPLICATE_LITERALS[0])
+    assert p.duplicate_literals == 3
+    a, b, c, d = map(p.atom_id, "abcd")
+    assert p.rule_parts == (((a, b), (c,), (d,)),)
+    # the first read of rules builds the Rules, which then replace the tuples
+    (r,) = p.rules
+    assert (r.head, r.pos_body, r.neg_body) == tuple(map(frozenset, ((a, b), (c,), (d,))))
+    assert p.rule_parts is p.rules
