@@ -36,12 +36,12 @@ from itertools import combinations
 
 from .depgraph import _components
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atom_mask, atoms_of, in_target_class, tautological, violation)
-from .reducts import assignments_over, check_atoms, delete_atoms, ta_reduct
-# not called here, but perfbench/tracer.py wraps detect.core and
-# detect.witness_cycle by these names
+                      atom_mask, atoms_of, tautological, violation)
+from .reducts import check_atoms
+# not called here, but perfbench/tracer.py wraps these names in detect
 from .depgraph import witness_cycle  # noqa: F401
-from .program import core  # noqa: F401
+from .program import core, in_target_class  # noqa: F401
+from .reducts import delete_atoms, ta_reduct  # noqa: F401
 
 STRONG_ENUM_GUARD = 30
 STRONG_ACYCLIC_K_GUARD = 12
@@ -248,20 +248,26 @@ def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     xx = check_atoms(p, x, "backdoor")
-    if kind == "deletion":
-        return in_target_class(delete_atoms(p, xx), target)
-    if target is TargetClass.HORN:
+    if kind == "strong" and target is TargetClass.HORN:
         return horn_conflict_graph(p).covered_by(xx)
-    if len(xx & p.occurring_atoms()) > STRONG_ENUM_GUARD:
+    cp = CompiledProgram(p)
+    if kind == "deletion":
+        return not violation(cp, target, atom_mask(xx))
+    xmask = atom_mask(xx) & cp.occurring
+    if xmask.bit_count() > STRONG_ENUM_GUARD:
         raise ValueError(f"backdoor too large for strong check (> {STRONG_ENUM_GUARD})")
-    return reducts_in_class(p, xx, target)
+    return _reducts_in_class(cp, xmask, target)
 
 
-def reducts_in_class(p: Program, x: frozenset[int], target: TargetClass) -> bool:
-    """The definition of a strong backdoor: every truth-assignment reduct
-    over the occurring atoms of x lies in the target class (unguarded)."""
-    return all(in_target_class(ta_reduct(p, tau), target)
-               for tau in assignments_over(x & p.occurring_atoms()))
+def _reducts_in_class(cp: CompiledProgram, xmask: int, target: TargetClass) -> bool:
+    """Does every truth-assignment reduct over xmask lie in the target class?
+    One masked core per subset of xmask, its true atoms (unguarded)."""
+    true = xmask
+    while not violation(cp, target, xmask, true):
+        if not true:
+            return True
+        true = (true - 1) & xmask
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +365,14 @@ def _strong_acyclic_search(p: Program, target: TargetClass,
     if k is not None and k > STRONG_ACYCLIC_K_GUARD:
         raise ValueError(
             f"k={k} exceeds the strong acyclic search guard ({STRONG_ACYCLIC_K_GUARD})")
-    occ = sorted(p.occurring_atoms())
+    cp = CompiledProgram(p)
+    occ = atoms_of(cp.occurring)
     limit = len(occ) if k is None else min(k, len(occ))
     nodes = 0
     for size in range(limit + 1):
         for combo in combinations(occ, size):
             nodes += 1
-            if verify_backdoor(p, combo, target, "strong"):
+            if _reducts_in_class(cp, atom_mask(combo), target):
                 return frozenset(combo), nodes
     return None, nodes
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .detect import reducts_in_class, verify_backdoor
+from .detect import verify_backdoor
 from .program import (CompiledProgram, Program, TargetClass, atom_mask,
-                      atoms_of)
-from .reducts import check_atoms
+                      atoms_of, in_target_class)
+from .reducts import assignments_over, check_atoms, ta_reduct
 
 BRUTE_ATOM_GUARD = 20
 BRUTE_BACKDOOR_GUARD = 16
@@ -63,6 +63,13 @@ def is_answer_set_direct(p: Program, m, max_atoms: int = BRUTE_ATOM_GUARD) -> bo
         raise ValueError(f"is_answer_set_direct guard: {n} atoms > {max_atoms}")
     mask = atom_mask(check_atoms(p, m, "interpretation"))
     return _is_answer_mask(CompiledProgram(p).rules, mask, (1 << n) - 1)
+
+
+def reducts_in_class(p: Program, x: frozenset[int], target: TargetClass) -> bool:
+    """The definition of a strong backdoor: every truth-assignment reduct
+    over the occurring atoms of x lies in the target class (unguarded)."""
+    return all(in_target_class(ta_reduct(p, tau), target)
+               for tau in assignments_over(x & p.occurring_atoms()))
 
 
 def brute_min_backdoor(p: Program, target: TargetClass, kind: str,

@@ -210,7 +210,7 @@ def parse_program(text: str | bytes) -> Program:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     toks = _TOKEN.findall(text)
-    bad = [t for t in set(toks) if t not in _SYMBOLS and not ATOM_RE.match(t)]
+    bad = [t for t in set(toks) if len(t) == 1 and t not in _SYMBOLS and not ATOM_RE.match(t)]
     if bad:
         i = min(toks.index(t) for t in bad)
         raise _error(text, i, f"unexpected character {toks[i]!r}")
@@ -330,8 +330,8 @@ class CompiledProgram:
 
     A set of deleted atoms is one mask x, and core(x) is the core of the
     program with x deleted, computed from the masks without building a
-    Program.  Build one per search or membership test; Program itself never
-    compiles.
+    Program; core(x, true) is the core of a truth-assignment reduct over x.
+    Build one per search or membership test; Program itself never compiles.
     """
 
     __slots__ = ("n_atoms", "occurring", "rules")
@@ -344,16 +344,22 @@ class CompiledProgram:
         for h, pos, neg in self.rules:
             self.occurring |= h | pos | neg
 
-    def core(self, x: int = 0) -> list[tuple[int, int, int]]:
-        """Masks of the rules of core(delete_atoms(p, x)), in rule order.
+    def core(self, x: int = 0, true: int | None = None) -> list[tuple[int, int, int]]:
+        """Masks of the rules of core(delete_atoms(p, x)), in rule order, or
+        of core(ta_reduct(p, tau)) for the tau over x whose true atoms are the
+        mask true (inside x), which first drops the rules that tau decides.
 
         Tautology is tested after masking: deleting an atom that a rule has
         both in its positive body and in its head or negative body wakes the
         rule up, and deleting all of a head makes the rule a constraint.
         """
+        rules = self.rules
+        if true is not None:
+            false = x & ~true
+            rules = [r for r in rules if not (r[0] | r[2]) & true and not r[1] & false]
         keep = ~x
         out = []
-        for h, pos, neg in self.rules:
+        for h, pos, neg in rules:
             h &= keep
             if h:
                 pos &= keep
@@ -363,9 +369,10 @@ class CompiledProgram:
         return out
 
 
-def violation(cp: CompiledProgram, c: TargetClass, x: int = 0) -> int:
+def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None = None) -> int:
     """Atoms (a mask) of the first violation of class c by the core of the
-    compiled program with the atoms of x deleted; 0 when that core is in c.
+    compiled program with the atoms of x deleted, or of its truth-assignment
+    reduct by true (see CompiledProgram.core); 0 when that core is in c.
 
     Horn: the head and negative body of the first non-Horn rule.  Acyclicity
     classes: the head of the first non-normal rule, else the atom vertices of
@@ -375,7 +382,7 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0) -> int:
     become tautological by deletion), so the Horn violation leaves out
     positive bodies.
     """
-    rules = cp.core(x)
+    rules = cp.core(x, true)
     if c is TargetClass.HORN:
         for h, _, neg in rules:
             if h & (h - 1) or neg:

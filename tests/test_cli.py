@@ -216,6 +216,7 @@ def test_solve_builds_one_program(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("backdoor", "--target", "horn"), ("backdoor", "--target", "horn", "--kind", "deletion"),
     ("backdoor", "--target", "strat", "--kind", "deletion"),
+    ("backdoor", "--target", "strat"), ("backdoor", "--target", "c-acyc"),
     ("classify",), ("parse",), ("stats",)])
 def test_commands_build_one_program_and_no_rule(capsys, tmp_path, monkeypatch, argv):
     # a disjunction, a tautology and negative cycles: every class fails

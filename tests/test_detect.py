@@ -9,7 +9,7 @@ from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      horn_conflict_graph, in_target_class, parse_program,
                      random_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
-from aspback.detect import reducts_in_class
+from aspback.oracle import reducts_in_class
 from conftest import corpus, names_of
 
 
@@ -195,7 +195,11 @@ def test_find_backdoor_strong_acyclic(ex1):
     ("deletion", TargetClass.DC_ACYC),
     ("deletion", TargetClass.DC2_ACYC),
     ("deletion", TargetClass.STRAT),
+    ("strong", TargetClass.C_ACYC),
+    ("strong", TargetClass.BC_ACYC),
+    ("strong", TargetClass.DC_ACYC),
     ("strong", TargetClass.DC2_ACYC),
+    ("strong", TargetClass.STRAT),
 ])
 def test_find_backdoor_matches_brute(kind, target):
     for p in corpus(12, seed=411, n_atoms=7, density=2.0):

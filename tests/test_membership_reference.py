@@ -1,9 +1,11 @@
 """Class membership from the definitions, as a reference for the cycle search.
 
 The deletion search and its oracle (brute_min_backdoor -> verify_backdoor ->
-in_target_class) share one cycle search.  Here each acyclicity class is
-decided from its definition on the rules of core(delete_atoms(p, x)), with
-plain sets and no call into depgraph or violation:
+violation) share one cycle search, and the strong check masks its reducts
+the same way.  Here each acyclicity class is
+decided from its definition on the rules of core(delete_atoms(p, x)) and
+of core(ta_reduct(p, tau)), with plain sets and no call into depgraph or
+violation:
 
 * strat: no negative edge (x, y) with x reachable from y;
 * dc-acyc: no edge (x, y) with x reachable from y;
@@ -18,8 +20,8 @@ A non-normal rule in the core puts the program outside every class.
 
 import random
 
-from aspback import (TargetClass, core, delete_atoms, in_target_class,
-                     witness_cycle)
+from aspback import (TargetClass, TruthAssignment, core, delete_atoms,
+                     in_target_class, ta_reduct, verify_backdoor, witness_cycle)
 from aspback.program import CompiledProgram, atom_mask, violation
 from conftest import check_witness
 from test_detect import CYCLE_CLASSES, GOLDEN, _golden_corpus
@@ -114,21 +116,31 @@ def reference_member(q, c):
 
 
 def test_reference_matches_membership_under_deletion():
-    rng = random.Random(13)
+    # each x also gets a truth-assignment reduct, its true atoms drawn from
+    # a second stream so that the deletion inputs stay as they were
+    rng, rng_true = random.Random(13), random.Random(14)
     checked = {c: [0, 0] for c in CYCLE_CLASSES}
+    reducts = {c: [0, 0] for c in CYCLE_CLASSES}
     for i, p in enumerate(_golden_corpus()):
         cp = CompiledProgram(p)
         masks = {()} | {tuple(sorted(a for a in range(p.n_atoms) if rng.random() < 0.25))
                         for _ in range(5)}
         for x in sorted(masks):
             q = delete_atoms(p, x)
+            true = [a for a in x if rng_true.random() < 0.5]
+            r = core(ta_reduct(p, TruthAssignment({a: int(a in true) for a in x})))
             for c in CYCLE_CLASSES:
                 want = reference_member(core(q), c)
                 assert in_target_class(q, c) == want, f"program {i}, x={x}, {c}"
+                assert verify_backdoor(p, x, c, "deletion") == want, f"program {i}, x={x}, {c}"
                 assert (violation(cp, c, atom_mask(x)) == 0) == want, f"program {i}, x={x}, {c}"
                 checked[c][want] += 1
+                got = violation(cp, c, atom_mask(x), atom_mask(true)) == 0
+                assert got == reference_member(r, c), f"program {i}, x={x}, true={true}, {c}"
+                reducts[c][got] += 1
     # both verdicts occur often for every class
     assert all(no >= 100 and yes >= 100 for no, yes in checked.values()), checked
+    assert all(no >= 100 and yes >= 100 for no, yes in reducts.values()), reducts
 
 
 def test_golden_cycle_witnesses_are_cycles():
