@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (solve --mode consistency prints "consistent"), 1 for
 "inconsistent", 2 for parse or usage errors, 3 when no backdoor exists within
-the requested bound.  JSON output is deterministic: sorted keys, two-space
-indent, and a top-level version field; wall clock fields are the only part
-that varies between runs.
+the requested bound.  JSON output is deterministic, the text that
+json.dumps(indent=2, sort_keys=True) gives with a top-level version field;
+wall clock fields are the only part that varies between runs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 import os
 import sys
 import time
+from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .detect import BackdoorQuery, find_backdoor
@@ -52,18 +54,40 @@ def _load(path: str) -> Program:
     return parse_program(_read_text(path))
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), for dicts with str keys."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                        for k, v in sorted(obj.items()))
+        return "{" + inner + body + indent + "}"
+    try:  # a list of strs, in one join
+        body = sep.join(map(encode_basestring_ascii, obj))
+    except TypeError:
+        body = sep.join(_dumps(v, inner) for v in obj)
+    return "[" + inner + body + indent + "]"
+
+
 def _emit_json(obj: dict) -> None:
-    obj = dict(obj)
-    obj["version"] = __version__
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_dumps({**obj, "version": __version__}))
 
 
-def _names(p: Program, atoms) -> list[str]:
-    return sorted(p.atom_name(a) for a in atoms)
+def _namer(p: Program):
+    """Maps a set of p's atom ids to their names in name order, from one sort of p's atoms."""
+    ids = sorted(range(p.n_atoms), key=p.atom_names.__getitem__)
+    names = [p.atom_names[a] for a in ids]
+    return lambda atoms: list(compress(names, map(atoms.__contains__, ids)))
 
 
-def _set_text(p: Program, atoms) -> str:
-    return "{" + ", ".join(_names(p, atoms)) + "}"
+def _set_text(names: list[str]) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 def _env_seed() -> int:
@@ -139,14 +163,14 @@ def _cmd_backdoor(args) -> int:
                    "witness": None, "nodes_explored": res.nodes_explored,
                    "wall_ms": ms}
         if res.witness is not None:
-            payload.update(witness=_names(p, res.witness),
+            payload.update(witness=sorted(map(p.atom_name, res.witness)),
                            size=len(res.witness), optimal=res.optimal)
         _emit_json(payload)
     elif res.witness is None:
         print(f"no {args.kind} {args.target} backdoor within k={args.k}",
               file=sys.stderr)
     else:
-        print(_set_text(p, res.witness))
+        print(_set_text(sorted(map(p.atom_name, res.witness))))
     return EXIT_NO_BACKDOOR if res.witness is None else EXIT_OK
 
 
@@ -186,27 +210,24 @@ def _cmd_solve(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
 
     result = mode_result(sets, args.mode, atom)
-    shown = [_names(p, s) for s in result] if args.mode == "enumerate" else result
+    names = _namer(p)
+    shown = [names(s) for s in result] if args.mode == "enumerate" else result
 
     if args.format == "json":
         _emit_json({"mode": args.mode, "engine": args.engine,
                     "atom": args.atom, "result": shown,
                     "answer_set_count": len(sets),
-                    "backdoor": _names(p, backdoor),
+                    "backdoor": names(backdoor),
                     "candidates_total": total, "candidates_rejected": rejected,
                     "wall_ms": ms})
+    elif args.mode == "consistency":
+        print("consistent" if result else "inconsistent")
+    elif args.mode == "enumerate":
+        print("\n".join(map(_set_text, shown)) if shown else "inconsistent")
+    elif args.mode in ("brave", "cautious"):
+        print("yes" if result else "no")
     else:
-        if args.mode == "consistency":
-            print("consistent" if result else "inconsistent")
-        elif args.mode == "enumerate":
-            for s in result:
-                print(_set_text(p, s))
-            if not result:
-                print("inconsistent")
-        elif args.mode in ("brave", "cautious"):
-            print("yes" if result else "no")
-        else:
-            print(result)
+        print(result)
     if args.mode == "consistency" and not result:
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -281,11 +302,8 @@ def _cmd_stats(args) -> int:
             print(f"stats: skipping {path}: {e}", file=sys.stderr)
     fracs = [r["fraction"] for r in rows]
     mean = sum(fracs) / len(fracs) if fracs else 0.0
-    if len(fracs) > 1:
-        var = sum((f - mean) ** 2 for f in fracs) / (len(fracs) - 1)
-        stdev = math.sqrt(var)
-    else:
-        stdev = 0.0
+    stdev = (math.sqrt(sum((f - mean) ** 2 for f in fracs) / (len(fracs) - 1))
+             if len(fracs) > 1 else 0.0)
     if args.format == "json":
         _emit_json({"target": args.target, "kind": args.kind, "rows": rows,
                     "failures": failures,

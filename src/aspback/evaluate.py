@@ -4,7 +4,9 @@ The program is compiled once, from the (head, pos, neg) rule masks of
 CompiledProgram, into an evaluator; no Program is built after the parse.
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
-The rules without atoms of x are closed once into a shared least model B.  The
+The rules without atoms of x are closed once into a shared least model B, and
+the rules whose head B holds are dropped: a block visits only the rules that B
+leaves live, so its cost is set by the backdoor, not by the settled rest.  The
 assignments lo .. lo + w - 1 (w a power of two, lo a multiple of w) are then
 evaluated together: each atom holds one int whose bit j says whether it lies in
 the candidate of assignment lo + j, so one rule step serves all w of them.  The
@@ -66,11 +68,11 @@ class _Evaluator:
     evaluation through the strong Horn backdoor mask x.
 
     Tautological rules are dropped, and x keeps only atoms that the rules
-    mention.  Propagation rules are the kept rules whose head leaves x and
-    those with one head atom inside x.  Each is kept as its one head atom, its
-    positive body outside B and two gates, None where the rule never fires: in
-    the closure the domain indices (i stands for dom[i]) whose truth switches
-    it off, in P^M those indices and the atoms outside x whose truth drop it.
+    mention.  Propagation rules are the kept rules with a head outside B that
+    leaves x or is their one head atom in x, kept as that atom, their positive
+    body outside B and two gates, None where the rule never fires: in the
+    closure the domain indices (i stands for dom[i]) whose truth switches it
+    off, in P^M those indices and the atoms outside x whose truth drop it.
     """
 
     def __init__(self, n_atoms: int, rules, x: int):
@@ -107,13 +109,13 @@ class _Evaluator:
             else:
                 props.append((h_out.bit_length() - 1, body, nx, (nx, neg_out)))
         # B: the rules that mention no atom of x, closed once and for all; its
-        # atoms start out true in every block and leave the bodies
-        self.in_base = [0] * n_atoms
+        # atoms start out true in every block, leave the bodies and drop the rules they head
+        in_base = self.in_base = [0] * n_atoms
         self._index(props)
-        self._fix([int(g == ()) for _, _, g, _ in props], self.in_base, ())
-        in_base = self.in_base
+        self._fix([int(g == ()) for _, _, g, _ in props], in_base, ())
         self.base = frozenset(a for a, v in enumerate(in_base) if v)
-        self._index([(h, [a for a in body if not in_base[a]], g, m) for h, body, g, m in props])
+        self._index([(h, [a for a in body if not in_base[a]], g, m)
+                     for h, body, g, m in props if not in_base[h]])
         self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)} - self.base)
 
     def _index(self, props) -> None:

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspback import __version__
-from aspback.cli import build_parser, main
+from aspback.cli import _dumps, build_parser, main
 from conftest import EX1_TEXT
 
 
@@ -138,6 +139,19 @@ def test_backdoor_deletion_packing_bound_exit(capsys, tmp_path):
 def test_solve_enumerate_default(capsys, ex1_file):
     code, out, _ = run(capsys, "solve", ex1_file)
     assert code == 0 and out == "{t}\n"
+
+
+def test_solve_enumerate_name_order(capsys, tmp_path):
+    # atoms are interned as b, a, a10, a9, B, _x, x': each set is listed in name
+    # order, the sets in the order of their sorted id-vectors
+    f = tmp_path / "names.lp"
+    f.write_text("b.\na :- not b.\na10 | a9 :- b.\nB :- not _x.\n_x :- not B.\nx' :- a10.\n")
+    want = [["B", "a10", "b", "x'"], ["_x", "a10", "b", "x'"], ["B", "a9", "b"], ["_x", "a9", "b"]]
+    code, out, _ = run(capsys, "solve", str(f), "--mode", "enumerate")
+    assert (code, out) == (0, "{B, a10, b, x'}\n{_x, a10, b, x'}\n{B, a9, b}\n{_x, a9, b}\n")
+    code, payload, _ = jrun(capsys, "solve", str(f), "--mode", "enumerate", "--format", "json")
+    assert code == 0 and payload["result"] == want
+    assert payload["backdoor"] == ["B", "a10", "b"] and payload["answer_set_count"] == 4
 
 
 def test_solve_consistency_exit_codes(capsys, ex1_file, tmp_path):
@@ -452,3 +466,18 @@ def test_main_reuses_one_parser(capsys, ex1_file, monkeypatch):
     assert first[3][0] == ("exit", 2) and "invalid choice: 'bogus'" in first[3][2]
     assert [outcome(argv) for argv in calls] == first
     assert build_parser() is build_parser()
+
+
+strings = st.one_of(st.text(), st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\ud800😀 a')))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 300, 2 ** 300), st.floats(),
+    st.sampled_from([-0.0, 1e300, float("inf"), float("-inf"), float("nan")]), strings)
+json_values = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.lists(strings),
+    st.dictionaries(strings, inner)), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_dumps_matches_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)

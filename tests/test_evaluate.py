@@ -214,9 +214,9 @@ def test_reason_enumerate_order():
     assert [sorted(m) for m in sets] == [[0], [1, 2]]
 
 
-def _loops(k: int, gadget: str) -> str:
-    chain = ["c0."] + [f"c{i + 1} :- c{i}." for i in range(20)]
-    return "\n".join([gadget.format(i=i) for i in range(k)] + chain)
+def _loops(k: int, gadget: str, chain: int = 20) -> str:
+    rules = ["c0."] + [f"c{i + 1} :- c{i}." for i in range(chain)]
+    return "\n".join([gadget.format(i=i) for i in range(k)] + rules)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -253,6 +253,19 @@ def test_odd_loops_settled_in_one_block(monkeypatch):
     p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
     rep = answer_sets(p, {p.atom_id(f"a{i}") for i in range(k)})
     assert len(rep.answer_sets) == len(extracted) == 2 ** k
+
+
+@pytest.mark.parametrize("chain", [485, 4850])
+def test_blocks_skip_the_settled_chain(chain):
+    # B holds the whole chain, so the blocks propagate the 13 loop rules only,
+    # however long the chain is
+    k = 13
+    p = parse_program(_loops(k, "g{i} :- not g{i}.", chain))
+    x = {p.atom_id(f"g{i}") for i in range(k)}
+    assert len(evaluate._compile(p, x).props) == k
+    rep = answer_sets(p, x)
+    assert rep.answer_sets == frozenset()
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
 
 
 def test_rejection_split_even_loops():
