@@ -13,9 +13,8 @@ from .evaluate import (Candidate, EvalReport, answer_sets, candidate_sets,
 from .generate import (GenConfig, HittingSetInstance, child_seed,
                        disjoint_copies, from_hitting_set, parse_hitting_set,
                        random_program)
-from .horn import is_model, least_model
 from .oracle import (brute_answer_sets, brute_min_backdoor,
-                     is_answer_set_direct)
+                     is_answer_set_direct, is_model, least_model)
 from .program import (ACYCLIC_CLASSES, ParseError, Program, ProgramBuilder,
                       Rule, TargetClass, core, in_target_class, parse_program,
                       render_program, render_rule)

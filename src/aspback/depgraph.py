@@ -5,12 +5,13 @@ the head and y in the body, or x and y jointly in the head; the edge is
 negative when some justifying occurrence has y in the negative body or comes
 from a shared head.  The undirected variant subdivides every negative edge
 with a fresh "negative vertex" and forgets orientation (mutually directed
-positive edges collapse to one undirected edge).  Every cycle search runs on
-int masks, one per vertex, built straight from rule bitmasks; one Tarjan
-pass gives the components (strongly connected, or 2-edge-connected when
-undirected), a component with as many edges as vertices is one simple cycle
-of known length, and in any other a mask breadth-first search measures a
-candidate's distance, bounded by the best cycle so far.  Only the winner's
+positive edges collapse to one undirected edge).  Each graph holds per-atom
+int masks, built straight from rule bitmasks, and its edge sets are views
+built when read.  Every cycle search runs on masks, one per vertex; one
+Tarjan pass gives the components (strongly connected, or 2-edge-connected
+when undirected), a component with as many edges as vertices is one simple
+cycle of known length, and in any other a mask breadth-first search measures
+a candidate's distance, bounded by the best cycle so far.  Only the winner's
 FIFO path is rebuilt.
 """
 
@@ -39,13 +40,20 @@ class CycleWitness:
 
 
 class DependencyDigraph:
-    """Directed dependency graph over the atom table of a program."""
+    """Directed dependency graph over the atom table of a program: succ[u]
+    masks the successors of atom u, neg[u] those over a negative edge."""
 
-    def __init__(self, n_atoms: int, edges: frozenset[tuple[int, int]],
-                 negative: frozenset[tuple[int, int]]):
-        self.n_atoms = n_atoms
-        self.edges = edges
-        self.negative = negative
+    def __init__(self, succ: list[int], neg: list[int]):
+        self.succ = succ
+        self.neg = neg
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, w) for u, m in enumerate(self.succ) for w in atoms_of(m))
+
+    @cached_property
+    def negative(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, w) for u, m in enumerate(self.neg) for w in atoms_of(m))
 
 
 class UndirectedDepGraph:
@@ -114,9 +122,7 @@ def _udg(succ: list[int], neg: list[int]) -> UndirectedDepGraph:
 
 def build_ddg(p: Program) -> DependencyDigraph:
     """Directed dependency graph of p as given (no core() applied)."""
-    return DependencyDigraph(p.n_atoms, *(
-        frozenset((u, w) for u, m in enumerate(masks) for w in atoms_of(m))
-        for masks in _dep_masks(p.n_atoms, CompiledProgram(p).rules)))
+    return DependencyDigraph(*_dep_masks(p.n_atoms, CompiledProgram(p).rules))
 
 
 def build_udg(p: Program) -> UndirectedDepGraph:
@@ -338,9 +344,7 @@ def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
     two-cycles of positive edges.  Each candidate edge (u, v) is closed by the
     shortest path v -> u; the first shortest cycle in sorted edge order wins.
     """
-    rules = [(1 << u, 1 << v, 0) for u, v in d.edges - d.negative]
-    rules += [(1 << u, 0, 1 << v) for u, v in d.negative]  # one rule per edge
-    return _directed_cycle(*_dep_masks(d.n_atoms, rules), bad_only,
+    return _directed_cycle(d.succ, d.neg, bad_only,
                            allow_good_two_cycles and not bad_only)
 
 

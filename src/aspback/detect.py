@@ -2,17 +2,18 @@
 
 Detection for the Horn target reduces to minimum vertex cover of the conflict
 graph (two atoms clash when a non-tautological rule puts both in the head, or
-one in the head and one in the negative body).  Self-loop atoms join the cover
+one in the head and one in the negative body), held as one neighbour mask per
+atom; its edge set is built only when read.  Self-loop atoms join the cover
 first; each connected component of the rest is then searched on its own, on
-int masks over its vertices, with the bounded search tree of FPT vertex cover
-kept on an explicit stack: drop degree-0 vertices and take the neighbour of
-each degree-1 vertex, take any vertex once only cycles are left, else branch
-on a maximum-degree vertex or on all of its neighbours; a greedy matching is
-the lower bound.  Deletion detection branches on head atoms of
+masks relabelled over its vertices, with the bounded search tree of FPT vertex
+cover kept on an explicit stack: drop degree-0 vertices and take the neighbour
+of each degree-1 vertex, take any vertex once only cycles are left, else
+branch on a maximum-degree vertex or on all of its neighbours; a greedy
+matching is the lower bound.  Deletion detection branches on head atoms of
 normality-violating rules and on atom vertices of forbidden cycles, over
-deletion masks of the program compiled into rule bitmasks; one memo maps
-each mask to its violation (rule masks ORed into per-atom adjacency masks,
-then depgraph's cycle search).  Its nodes are pruned by a greedy packing of
+deletion masks of the program compiled into rule bitmasks; one memo maps each
+mask to its violation (rule masks ORed into per-atom adjacency masks, then
+depgraph's cycle search).  Its nodes are pruned by a greedy packing of
 atom-disjoint violations, sound only until a packed violation meets an atom
 whose deletion can wake a tautological rule; the packing stops there.
 
@@ -31,7 +32,7 @@ smallest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .depgraph import _components
@@ -51,27 +52,38 @@ KINDS = ("strong", "deletion")
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected clash graph over the atom table; (a, a) marks a self-loop."""
+    """Undirected clash graph over the atom table: adj[a] masks the atoms
+    that clash with atom a, and bit a of adj[a] marks a self-loop."""
 
-    n_atoms: int
-    edges: frozenset[tuple[int, int]]  # normalized a <= b
+    adj: tuple[int, ...]
 
-    def covered_by(self, x: frozenset[int]) -> bool:
-        return all(a in x or b in x for a, b in self.edges)
+    @property
+    def n_atoms(self) -> int:
+        return len(self.adj)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:  # normalized a <= b
+        return frozenset((a, b) for a, m in enumerate(self.adj) for b in atoms_of(m >> a << a))
+
+    def covered_by(self, x) -> bool:
+        """Does x, any iterable of atom ids, hold an end of every edge?"""
+        xm = atom_mask({a for a in x if 0 <= a < len(self.adj)})
+        return not any(m & ~xm for a, m in enumerate(self.adj) if not xm >> a & 1)
 
 
 def horn_conflict_graph(p: Program) -> ConflictGraph:
-    edges: set[tuple[int, int]] = set()
+    adj = [0] * p.n_atoms
     for h, pos, neg in p.rule_parts:
-        if tautological(h, pos, neg):
-            continue
-        hs = sorted(h)
-        for i, x in enumerate(hs):
-            for y in hs[i + 1:]:
-                edges.add((x, y))
+        if len(h) < 2 and not neg or tautological(h, pos, neg):
+            continue  # no edges
+        for x in h:
+            for y in h:
+                if y != x:
+                    adj[x] |= 1 << y
             for y in neg:
-                edges.add((x, y) if x <= y else (y, x))
-    return ConflictGraph(p.n_atoms, frozenset(edges))
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return ConflictGraph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +195,21 @@ def _vc_component(adj: list[int], budget: int) -> tuple[int | None, int]:
 
 
 def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int]:
-    forced = sorted({a for a, b in g.edges if a == b})
+    loops = sum(m & 1 << a for a, m in enumerate(g.adj))  # the forced atoms
+    forced = atoms_of(loops)
     if k is not None and len(forced) > k:
         return None, 0
-    fmask = atom_mask(forced)
-    edges = [(a, b) for a, b in g.edges if a != b and not (fmask >> a | fmask >> b) & 1]
-    adj = [0] * g.n_atoms
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = [0 if loops >> a & 1 else m & ~loops for a, m in enumerate(g.adj)]
 
     # adj is symmetric, so its strongly connected components are the connected
-    # ones; each, at its smallest vertex, is relabelled 0..m-1 in atom order
-    comps = [cm for v, cm in enumerate(_components(adj)) if cm & -cm == 1 << v]
-    comp_adjs = [(atoms_of(cm), [0] * cm.bit_count()) for cm in comps]
-    local = {w: (c, i) for c, (vs, _) in enumerate(comp_adjs) for i, w in enumerate(vs)}
-    for a, b in edges:
-        (c, i), (_, j) = local[a], local[b]
-        comp_adjs[c][1][i] |= 1 << j
-        comp_adjs[c][1][j] |= 1 << i
+    # ones; each, at its smallest vertex lo, is relabelled 0..m-1 in atom order
+    # from its masks shifted down by lo, which keeps the ints short
+    comp_adjs = []
+    for lo, cm in enumerate(_components(adj)):
+        if cm & -cm == 1 << lo:
+            rank = {w: i for i, w in enumerate(atoms_of(cm >> lo))}
+            comp_adjs.append(([lo + w for w in rank], [
+                sum(1 << rank[u] for u in atoms_of(adj[lo + w] >> lo)) for w in rank]))
     match_lbs = [_matching_lb(ca, (1 << len(ca)) - 1) for _, ca in comp_adjs]
 
     remaining = (k - len(forced)) if k is not None else None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .program import CompiledProgram, Program, atom_mask, atoms_of
 from .reducts import TruthAssignment, check_atoms
 # not called here, but perfbench/tracer.py wraps these names in evaluate
-from .horn import is_model, propagate_definite  # noqa: F401
+from .oracle import is_model, propagate_definite  # noqa: F401
 
 ENUM_GUARD = 30
 MATERIALIZE_GUARD = 20

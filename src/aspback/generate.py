@@ -40,8 +40,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
-        if self.density < 0:
-            raise ValueError("density must be nonnegative")
+        if not 0 <= self.density < math.inf:  # nan fails both comparisons
+            raise ValueError("density must be a finite nonnegative number")
         if not 0 <= self.body_len <= self.n_atoms - 1:
             raise ValueError("body_len must fit the non-head atoms")
         if not 0.0 <= self.neg_prob <= 1.0:

@@ -1,12 +1,15 @@
-"""Brute-force reference implementations, used as oracles in the test suite.
+"""Reference implementations, used as oracles in the test suite.
 
-Everything here enumerates exhaustively over bitmask-encoded interpretations
-and is guarded against accidental use on large inputs.
+The brute-force ones enumerate bitmask-encoded interpretations exhaustively
+and are guarded against accidental use on large inputs.  The Horn ones (model
+check, least model) work on atom-id sets, apart from the evaluator's masks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
+from typing import Iterable
 
 from .detect import verify_backdoor
 from .program import (CompiledProgram, Program, TargetClass, atom_mask,
@@ -15,6 +18,55 @@ from .reducts import assignments_over, check_atoms, ta_reduct
 
 BRUTE_ATOM_GUARD = 20
 BRUTE_BACKDOOR_GUARD = 16
+
+
+def is_model(p: Program, m: Iterable[int]) -> bool:
+    """Classical satisfaction: every rule r has (H u B-) meeting M or B+ \\ M nonempty."""
+    mm = frozenset(m)
+    return not any(mm.isdisjoint(h) and mm.isdisjoint(neg) and mm.issuperset(pos)
+                   for h, pos, neg in p.rule_parts)
+
+
+def propagate_definite(definite: list[tuple[int, frozenset[int]]]) -> frozenset[int]:
+    """Least model of (head, positive body) pairs by counting unit propagation:
+    a rule fires when its count of underived body atoms reaches zero."""
+    count = [len(body) for _, body in definite]
+    occ: dict[int, list[int]] = {}
+    for i, (_, body) in enumerate(definite):
+        for a in body:
+            occ.setdefault(a, []).append(i)
+
+    derived: set[int] = set()
+    fired = deque(i for i, c in enumerate(count) if c == 0)
+    while fired:
+        h = definite[fired.popleft()][0]
+        if h not in derived:
+            derived.add(h)
+            for i in occ.get(h, ()):
+                count[i] -= 1
+                if count[i] == 0:
+                    fired.append(i)
+    return frozenset(derived)
+
+
+def least_model(p: Program) -> tuple[frozenset[int], bool]:
+    """(lm, sat): the least model of the definite rules of a Horn program, by
+    counting propagation in linear time, and whether it satisfies every
+    constraint, as it does iff the program has a model.  Raises on non-Horn
+    input."""
+    definite: list[tuple[int, frozenset[int]]] = []
+    constraints: list[frozenset[int]] = []
+    for r in p.rules:
+        if r.neg_body or len(r.head) > 1:
+            raise ValueError("least_model requires a Horn program")
+        if r.head:
+            definite.append((next(iter(r.head)), r.pos_body))
+        else:
+            constraints.append(r.pos_body)
+
+    lm = propagate_definite(definite)
+    sat = all(body - lm for body in constraints)
+    return lm, sat
 
 
 def _is_answer_mask(masks: tuple[tuple[int, int, int], ...], m: int,

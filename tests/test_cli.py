@@ -362,6 +362,15 @@ def test_gen_random_count_out_dir(capsys, tmp_path):
     assert code2 == 2 and "--out-dir" in err
 
 
+@pytest.mark.parametrize("density", ["inf", "nan"])
+def test_gen_random_rejects_non_finite_density(capsys, density):
+    # exit 1 means "inconsistent", so a bad argument must not escape as a crash
+    code, out, err = run(capsys, "gen", "random", "-n", "5", "--density", density)
+    assert code == 2 and not out
+    assert "density must be a finite nonnegative number" in err
+    assert "Traceback" not in err
+
+
 def test_gen_hitting_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("k = 1\n1 2\n"))

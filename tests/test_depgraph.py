@@ -1,9 +1,10 @@
 import pytest
 
-from aspback import (TargetClass, build_ddg, build_udg, describe_witness,
+from aspback import (TargetClass, build_ddg, build_udg, core, describe_witness,
                      dot_ddg, dot_incidence, dot_udg, find_directed_cycle,
                      find_undirected_cycle, incidence_graph, parse_program,
                      witness_cycle)
+from test_detect import _golden_corpus, _strong_corpus
 
 
 def ids(p):
@@ -207,3 +208,34 @@ def test_long_negative_cycle_witnesses():
         w = witness_cycle(p, c)
         assert w.bad and w.vertices[0] == 0
         assert len(w.vertices) == (2 * k if w.kind == "undirected" else k)
+
+
+def _dependency_edges(p):
+    """The directed dependency graph by its definition (module docstring),
+    over p.rules: (edges, negative edges)."""
+    edges, negative = set(), set()
+    for r in p.rules:
+        for x in r.head:
+            edges |= {(x, y) for y in r.pos_body | r.neg_body}
+            shared = {(x, y) for y in r.head if y != x}
+            edges |= shared
+            negative |= shared | {(x, y) for y in r.neg_body}
+    return frozenset(edges), frozenset(negative)
+
+
+def test_ddg_masks_match_definition():
+    # the edge views against the definition, and the cycle search on the
+    # digraph's masks against witness_cycle, which builds its own
+    found = 0
+    for i, p in enumerate(_golden_corpus() + _strong_corpus()):
+        d = build_ddg(p)
+        assert len(d.succ) == len(d.neg) == p.n_atoms, f"program {i}"
+        assert (d.edges, d.negative) == _dependency_edges(p), f"program {i}"
+        dc = build_ddg(core(p))
+        for c, flags in ((TargetClass.DC_ACYC, {}),
+                         (TargetClass.STRAT, {"bad_only": True}),
+                         (TargetClass.DC2_ACYC, {"allow_good_two_cycles": True})):
+            w = find_directed_cycle(dc, **flags)
+            assert w == witness_cycle(p, c), f"program {i}, {c}"
+            found += w is not None
+    assert found >= 900

@@ -30,45 +30,54 @@ def test_conflict_graph_negative_self_edge():
     assert (0, 0) in g.edges
 
 
+def _graph(n, edges):
+    """The conflict graph on n atoms with the given (a, b) edges."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return ConflictGraph(tuple(adj))
+
+
 def test_covered_by():
-    g = ConflictGraph(3, frozenset({(0, 1), (1, 2)}))
+    g = _graph(3, {(0, 1), (1, 2)})
     assert g.covered_by({1})
     assert not g.covered_by({0})
     assert g.covered_by({0, 2})
 
 
 def test_vc_triangle():
-    g = ConflictGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+    g = _graph(3, {(0, 1), (1, 2), (0, 2)})
     c = vertex_cover_min(g)
     assert len(c) == 2 and c == frozenset({0, 1})  # lex-least pair
 
 
 def test_vc_star_center():
-    g = ConflictGraph(5, frozenset({(0, k) for k in range(1, 5)}))
+    g = _graph(5, {(0, k) for k in range(1, 5)})
     assert vertex_cover_min(g) == frozenset({0})
 
 
 def test_vc_path_lex():
     # P4 has minimum covers {0,2}, {1,2}, {1,3}; ties break lexicographically
-    g = ConflictGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    g = _graph(4, {(0, 1), (1, 2), (2, 3)})
     assert vertex_cover_min(g) == frozenset({0, 2})
 
 
 def test_vc_self_loop_forced():
-    g = ConflictGraph(3, frozenset({(1, 1), (0, 2)}))
+    g = _graph(3, {(1, 1), (0, 2)})
     c = vertex_cover_min(g)
     assert 1 in c and len(c) == 2
 
 
 def test_vc_components_union():
     edges = {(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)}
-    g = ConflictGraph(7, frozenset(edges))
+    g = _graph(7, edges)
     c = vertex_cover_min(g)
     assert len(c) == 4 and g.covered_by(c)
 
 
 def test_vc_budget_none():
-    g = ConflictGraph(6, frozenset({(0, 1), (2, 3), (4, 5)}))
+    g = _graph(6, {(0, 1), (2, 3), (4, 5)})
     assert vertex_cover_min(g, k=2) is None
     assert vertex_cover_min(g, k=3) == frozenset({0, 2, 4})
 
@@ -83,7 +92,7 @@ def test_vc_isolated_edges_take_one_node_each():
 
 
 def test_vc_empty_graph():
-    assert vertex_cover_min(ConflictGraph(4, frozenset())) == frozenset()
+    assert vertex_cover_min(_graph(4, ())) == frozenset()
 
 
 def test_verify_backdoor_strong_and_deletion(ex1, ex1_ids):
@@ -265,7 +274,7 @@ def test_vertex_cover_matches_brute_lex_min():
                         edges.add((min(a, b), max(a, b)))
             blocks_with_edges += len(edges) > before
         several += blocks_with_edges >= 2
-        g = ConflictGraph(n, frozenset(edges))
+        g = _graph(n, edges)
         want = _brute_lex_cover(n, edges)
         for k in (None, *range(len(want) + 1)):
             expected = want if k is None or k == len(want) else None
@@ -309,6 +318,34 @@ def test_strong_horn_witnesses_match_golden_table():
         assert _horn_witness(p, len(want)) == want, f"program {i}"
         if want:
             assert _horn_witness(p, len(want) - 1) is None, f"program {i}"
+
+
+def _clash_edges(p):
+    """The conflict graph by its definition, over p.rules: head pairs, and
+    head atom with negative body atom, of the non-tautological rules."""
+    edges = set()
+    for r in p.rules:
+        if not r.tautological:
+            edges |= {(a, b) for a in r.head for b in r.head if a < b}
+            edges |= {(min(a, b), max(a, b)) for a in r.head for b in r.neg_body}
+    return frozenset(edges)
+
+
+def test_conflict_graph_masks_match_definition():
+    rng = random.Random(2017)
+    loops, verdicts = 0, []
+    for i, p in enumerate(_golden_corpus() + _strong_corpus()):
+        g = horn_conflict_graph(p)  # from the id tuples, before p.rules is read
+        want = _clash_edges(p)
+        assert g.n_atoms == p.n_atoms and g.edges == want, f"program {i}"
+        assert horn_conflict_graph(p) == g, f"program {i}"  # from the Rules
+        loops += any(a == b for a, b in want)
+        for _ in range(3):
+            # a list with duplicates, negative ids and ids past the table
+            x = [rng.randint(-2, p.n_atoms + 2) for _ in range(rng.randint(0, p.n_atoms + 2))]
+            verdicts.append(g.covered_by(x))
+            assert verdicts[-1] == all(a in x or b in x for a, b in want), f"program {i}, {x}"
+    assert loops >= 200 and verdicts.count(True) >= 200 and verdicts.count(False) >= 200
 
 
 DELETION_TARGETS = (TargetClass.HORN, TargetClass.C_ACYC, TargetClass.BC_ACYC,

@@ -8,7 +8,7 @@ from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
                      answer_sets, brute_answer_sets, candidate_sets,
                      check_answer_set, find_backdoor, horn_star_answer_sets,
                      in_target_class, is_answer_set_direct, is_model,
-                     mode_result, parse_program)
+                     least_model, mode_result, parse_program)
 from aspback import evaluate
 from aspback.evaluate import _Evaluator
 from aspback.program import CompiledProgram, atom_mask
@@ -398,3 +398,23 @@ def test_horn_star_raises_exactly_outside_class():
             with pytest.raises(ValueError):
                 horn_star_answer_sets(p)
     assert 0 < members < 300
+
+
+def test_empty_backdoor_matches_least_model():
+    # a Horn program with constraints has the answer set lm when lm
+    # satisfies every constraint, and none otherwise
+    rng = random.Random(2017)
+    sat_count = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        atoms = [f"a{i}" for i in range(n)]
+        b = ProgramBuilder()
+        for _ in range(rng.randint(1, 2 * n)):
+            roll = rng.random()
+            body = rng.sample(atoms, 0 if roll < 0.15 else rng.randint(1, min(3, n)))
+            b.add_rule([] if 0.15 <= roll < 0.35 else [rng.choice(atoms)], body)
+        p = b.build()
+        lm, sat = least_model(p)
+        assert answer_sets(p, ()).answer_sets == ({lm} if sat else set())
+        sat_count += sat
+    assert 50 <= sat_count <= 250

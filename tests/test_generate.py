@@ -21,6 +21,9 @@ def test_config_validation():
         GenConfig(n_atoms=0, density=1.0)
     with pytest.raises(ValueError):
         GenConfig(n_atoms=5, density=-0.5)
+    for density in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            GenConfig(n_atoms=5, density=density)
     with pytest.raises(ValueError):
         GenConfig(n_atoms=5, density=1.0, body_len=5)
     with pytest.raises(ValueError):
