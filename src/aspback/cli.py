@@ -120,14 +120,13 @@ def _cmd_parse(args) -> int:
 def _cmd_classify(args) -> int:
     p = _load(args.file)
     cp = CompiledProgram(p)
-    rules = cp.core()
     rows = []
     for c in TargetClass:
         why = ""
         if c in ACYCLIC_CLASSES:
             # the head atoms of a non-normal rule form a bad two-cycle, so
             # the one witness decides membership
-            w = core_witness(cp, rules, c)
+            w = core_witness(cp, c)
             member = w is None
             if w is not None:
                 why = f"{'bad ' if w.bad else ''}{w.kind} cycle {describe_witness(p, w)}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atoms_of)
+                      atom_mask, atoms_of)
 # not called here, but perfbench/tracer.py wraps depgraph.core by this name
 from .program import core  # noqa: F401
 
@@ -357,23 +357,79 @@ def find_undirected_cycle(g: UndirectedDepGraph, *,
         "undirected", _rotate_min(found[0]), found[1], g)
 
 
-def core_witness(cp: CompiledProgram, rules, c: TargetClass) -> CycleWitness | None:
-    """Forbidden cycle for class c in the graph of the given rule masks of cp
-    (its core, possibly after deletion)."""
+def cycle_witness(succ: list[int], neg: list[int], c: TargetClass,
+                  udg: UndirectedDepGraph | None = None) -> CycleWitness | None:
+    """Forbidden cycle for class c in the dependency graph of these masks,
+    whose undirected graph is udg when given."""
     if c not in ACYCLIC_CLASSES:
         raise ValueError(f"{c} is not an acyclicity-based class")
-    succ, neg = _dep_masks(cp.n_atoms, rules)
     if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC:
-        return find_undirected_cycle(_udg(succ, neg),
+        return find_undirected_cycle(udg or _udg(succ, neg),
                                      bad_only=c is TargetClass.BC_ACYC)
     return _directed_cycle(succ, neg, c is TargetClass.STRAT,
                            c is TargetClass.DC2_ACYC)
 
 
+def _deletion_graph(cp: CompiledProgram) -> tuple:
+    """cp.graph, built on first use: the succ and neg masks of the rules of
+    cp that are not tautological, their undirected graph, the tautological
+    rules, and in rule order the rules with two or more head atoms."""
+    if cp.graph is None:
+        taut = [r for r in cp.rules if r[1] & (r[0] | r[2])]
+        succ, neg = _dep_masks(cp.n_atoms, [r for r in cp.rules if not r[1] & (r[0] | r[2])]
+                               if taut else cp.rules)
+        cp.graph = (succ, neg, _udg(succ, neg), taut,
+                    [r for r in cp.rules if r[0] & (r[0] - 1)])
+    return cp.graph
+
+
+def core_witness(cp: CompiledProgram, c: TargetClass) -> CycleWitness | None:
+    """Forbidden cycle for class c in the dependency graph of cp's core."""
+    succ, neg, udg, _, _ = _deletion_graph(cp)
+    return cycle_witness(succ, neg, c, udg)
+
+
+def deletion_violation(cp: CompiledProgram, c: TargetClass):
+    """x -> violation(cp, c, x) for an acyclicity class c on one graph: the
+    masked head of the first rule left non-tautological with two head atoms,
+    else the atoms of the forbidden cycle once the rows of x are zeroed, the
+    rest ANDed with ~x and the edges of the rules x wakes ORed in (exact, as
+    deletion keeps a non-tautological rule's other edges as they are).  If
+    x wakes none, the undirected graph is masked so, not rebuilt."""
+    succ, neg, udg, taut, multi = _deletion_graph(cp)
+    n, occ, wake = cp.n_atoms, cp.occurring, cp.wake
+    ends = [(e, 1 << e[0] | 1 << e[1]) for e in udg.neg_edges] if c in (
+        TargetClass.C_ACYC, TargetClass.BC_ACYC) else None
+
+    def viol(x: int) -> int:
+        keep = ~x
+        for h, pos, ng in multi:
+            h &= keep
+            if h & (h - 1) and not pos & keep & (h | ng):
+                return h
+        if ends is not None and not x & wake:
+            pos = [m & keep for m in udg.pos]
+            for a in atoms_of(x & occ):
+                pos[a] = 0
+            found = _undirected_cycle(n, tuple(e for e, m in ends if not m & x), pos,
+                                      c is TargetClass.BC_ACYC)
+            return 0 if found is None else atom_mask(v for v in found[0] if v < n)
+        s, g = [m & keep for m in succ], [m & keep for m in neg]
+        for a in atoms_of(x & occ):
+            s[a] = g[a] = 0
+        for h, pos, ng in taut if x & wake else ():
+            h, pos, ng = h & keep, pos & keep, ng & keep
+            if h and not pos & (h | ng):  # woken, with one head atom
+                s[h.bit_length() - 1] |= pos | ng
+                g[h.bit_length() - 1] |= ng
+        w = cycle_witness(s, g, c)
+        return 0 if w is None else atom_mask(v for v in w.vertices if v < n)
+    return viol
+
+
 def witness_cycle(p: Program, c: TargetClass) -> CycleWitness | None:
     """Forbidden cycle of core(p) for an acyclicity-based class, or None."""
-    cp = CompiledProgram(p)
-    return core_witness(cp, cp.core(), c)
+    return core_witness(CompiledProgram(p), c)
 
 
 def describe_witness(p: Program, w: CycleWitness) -> str:

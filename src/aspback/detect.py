@@ -12,8 +12,9 @@ branch on a maximum-degree vertex or on all of its neighbours; a greedy
 matching is the lower bound.  Deletion detection branches on head atoms of
 normality-violating rules and on atom vertices of forbidden cycles, over
 deletion masks of the program compiled into rule bitmasks; one memo maps each
-mask to its violation (rule masks ORed into per-atom adjacency masks, then
-depgraph's cycle search).  Its nodes are pruned by a greedy packing of
+mask to its violation (depgraph's cycle search on the program's one
+dependency graph with the mask's vertices masked out, a few mask operations
+per atom; Horn masks the rules).  Its nodes are pruned by a greedy packing of
 atom-disjoint violations, sound only until a packed violation meets an atom
 whose deletion can wake a tautological rule; the packing stops there.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .depgraph import _components
+from .depgraph import _components, deletion_violation
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
                       atom_mask, atoms_of, tautological, violation)
 from .reducts import check_atoms
@@ -307,10 +308,8 @@ def _deletion_search(p: Program, target: TargetClass,
     on ties, and the search nodes of both passes (see the module notes)."""
     cp = CompiledProgram(p)
     n_occ = cp.occurring.bit_count()
-    viol = cache(lambda x: violation(cp, target, x))  # the per-search memo
-    wake = 0  # atoms whose deletion can wake a tautological rule
-    for h, pos, neg in cp.rules:
-        wake |= pos & (h | neg)
+    viol = cache(deletion_violation(cp, target) if target in ACYCLIC_CLASSES
+                 else lambda x: violation(cp, target, x))  # the per-search memo
     nodes = 0
 
     def packing_prunes(x: int, v: int, budget: int) -> bool:
@@ -325,7 +324,7 @@ def _deletion_search(p: Program, target: TargetClass,
             count += 1
             if size + count > budget:
                 return True
-            if v & wake:
+            if v & cp.wake:
                 return False
             x |= v
             v = viol(x)

@@ -332,17 +332,20 @@ class CompiledProgram:
     program with x deleted, computed from the masks without building a
     Program; core(x, true) is the core of a truth-assignment reduct over x.
     Build one per search or membership test; Program itself never compiles.
+    wake masks the atoms whose deletion can wake a tautological rule; graph
+    is depgraph's dependency graph of the rules, built on first use.
     """
 
-    __slots__ = ("n_atoms", "occurring", "rules")
+    __slots__ = ("n_atoms", "occurring", "rules", "wake", "graph")
 
     def __init__(self, p: Program):
-        self.n_atoms = p.n_atoms
+        self.n_atoms, self.graph = p.n_atoms, None
         self.rules = tuple((atom_mask(h), atom_mask(pos), atom_mask(neg))
                            for h, pos, neg in p.rule_parts)
-        self.occurring = 0
+        self.occurring = self.wake = 0
         for h, pos, neg in self.rules:
             self.occurring |= h | pos | neg
+            self.wake |= pos & (h | neg)
 
     def core(self, x: int = 0, true: int | None = None) -> list[tuple[int, int, int]]:
         """Masks of the rules of core(delete_atoms(p, x)), in rule order, or
@@ -376,28 +379,29 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None 
 
     Horn: the head and negative body of the first non-Horn rule.  Acyclicity
     classes: the head of the first non-normal rule, else the atom vertices of
-    the forbidden cycle that depgraph.core_witness finds on adjacency masks
-    ORed from these rule masks.  Every violation has an atom outside x.
-    Deleting a positive body atom never makes a rule Horn (rules never
-    become tautological by deletion), so the Horn violation leaves out
-    positive bodies.
+    the forbidden cycle that depgraph.cycle_witness finds: in cp's one graph
+    with x masked out (depgraph.deletion_violation; a few mask operations per
+    atom, no pass over the rules), or for a reduct in masks ORed from its
+    rules.  Every violation has an atom outside x.  Deleting a positive body
+    atom never makes a rule Horn (rules never become tautological by
+    deletion), so the Horn violation leaves out positive bodies.
     """
-    rules = cp.core(x, true)
     if c is TargetClass.HORN:
-        for h, _, neg in rules:
+        for h, _, neg in cp.core(x, true):
             if h & (h - 1) or neg:
                 return h | neg
         return 0
     if c not in ACYCLIC_CLASSES:
         raise ValueError(f"unknown target class {c!r}")
+    from .depgraph import _dep_masks, cycle_witness, deletion_violation
+    if true is None:
+        return deletion_violation(cp, c)(x)
+    rules = cp.core(x, true)
     for h, _, _ in rules:
         if h & (h - 1):
             return h
-    from .depgraph import core_witness
-    w = core_witness(cp, rules, c)
-    if w is None:
-        return 0
-    return atom_mask(v for v in w.vertices if v < cp.n_atoms)
+    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
+    return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
 
 
 def in_target_class(p: Program, c: TargetClass) -> bool:

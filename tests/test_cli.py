@@ -95,6 +95,20 @@ def test_classify_output_pinned(capsys, tmp_path, text, undirected, directed):
     assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
+def test_classify_builds_one_graph(capsys, tmp_path, monkeypatch):
+    # the five classes read one cached graph: its per-atom masks are ORed
+    # once and its undirected graph is built once
+    import aspback.depgraph as dg
+    calls = []
+    for name in ("_dep_masks", "_udg"):
+        monkeypatch.setattr(dg, name, lambda *a, fn=getattr(dg, name), name=name:
+                            calls.append(name) or fn(*a))
+    f = tmp_path / "p.lp"
+    f.write_text(DISJ_TEXT)
+    code, _, _ = run(capsys, "classify", str(f))
+    assert code == 0 and sorted(calls) == ["_dep_masks", "_udg"]
+
+
 def test_graph_kinds(capsys, ex1_file):
     for which, needle in (("ddg", "digraph"), ("udg", "v_(w,r)"), ("incidence", '"r0"')):
         code, out, _ = run(capsys, "graph", ex1_file, "--which", which)

@@ -9,7 +9,9 @@ from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      horn_conflict_graph, in_target_class, parse_program,
                      random_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
+from aspback.depgraph import _dep_masks, cycle_witness
 from aspback.oracle import reducts_in_class
+from aspback.program import CompiledProgram, atom_mask, atoms_of, tautological, violation
 from conftest import corpus, names_of
 
 
@@ -409,6 +411,69 @@ def test_deletion_search_and_witnesses_match_golden_table():
         # classify reads membership off the witness alone
         for c, w in zip(CYCLE_CLASSES, want[1]):
             assert in_target_class(p, c) == (w is None), f"program {i}, {c}"
+
+
+def _rule_masking_violation(cp, c, x):
+    """violation(cp, c, x) by its definition: the masked head of the first
+    non-normal rule of cp.core(x), else the atom vertices of the forbidden
+    cycle in the masks ORed from the rules of cp.core(x)."""
+    rules = cp.core(x)
+    for h, _, _ in rules:
+        if h & (h - 1):
+            return h
+    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
+    return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
+
+
+def test_deletion_violation_matches_rule_masking():
+    # 20 deletion masks per program: up to ten that delete an atom of
+    # pos & (h | neg) of a tautological rule or all but one atom of a
+    # disjunctive head (or nothing), the rest random sets joined to one of
+    # them; one CompiledProgram per program, so its one graph serves all
+    rng = random.Random(2018)
+    woken = one_left = checked = 0
+    for i, p in enumerate(_golden_corpus() + _strong_corpus()):
+        cp = CompiledProgram(p)
+        occ = atoms_of(cp.occurring)
+        masks = [0]
+        for h, pos, neg in cp.rules:
+            if pos & (h | neg):  # tautological: delete a waking atom
+                masks.append(1 << rng.choice(atoms_of(pos & (h | neg))))
+            elif h & (h - 1):  # disjunctive: keep one head atom
+                masks.append(h & ~(1 << rng.choice(atoms_of(h))))
+        masks = rng.sample(masks, min(len(masks), 10))
+        while len(masks) < 20:
+            masks.append(atom_mask(rng.sample(occ, rng.randint(0, len(occ)))) | rng.choice(masks))
+        for x in masks:
+            woken += any(pos & (h | neg) and h & ~x and not pos & ~x & (h | neg) & ~x
+                         for h, pos, neg in cp.rules)
+            one_left += any(h & (h - 1) and not pos & (h | neg) and (h & ~x).bit_count() == 1
+                            for h, pos, neg in cp.rules)
+            for c in CYCLE_CLASSES:
+                checked += 1
+                assert violation(cp, c, x) == _rule_masking_violation(cp, c, x), \
+                    f"program {i}, x={atoms_of(x)}, {c}"
+    assert woken >= 1000 and one_left >= 2000 and checked == 44000
+
+
+def test_deletion_search_builds_one_graph(monkeypatch):
+    # every node masks the search's one dependency graph: no rule is masked
+    # per node and the per-atom masks are ORed once
+    import aspback.depgraph
+    calls = {"core": 0, "dep_masks": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **kw):
+            calls[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+    monkeypatch.setattr(CompiledProgram, "core", counted("core", CompiledProgram.core))
+    monkeypatch.setattr(aspback.depgraph, "_dep_masks",
+                        counted("dep_masks", aspback.depgraph._dep_masks))
+    p = random_program(GenConfig(20, 1.5, seed=1))
+    assert not any(tautological(*r) for r in p.rule_parts)
+    r = find_backdoor(p, BackdoorQuery(TargetClass.STRAT, "deletion"))
+    assert r.nodes_explored >= 50 and calls == {"core": 0, "dep_masks": 1}
 
 
 def test_bounded_deletion_queries_match_golden_witnesses():
