@@ -54,6 +54,10 @@ def _load(path: str) -> Program:
     return parse_program(_read_text(path))
 
 
+class _Encoded(list):
+    """A list of strs that are JSON text already, which _dumps joins as they are."""
+
+
 def _dumps(obj, indent: str = "\n") -> str:
     """The text of json.dumps(obj, indent=2, sort_keys=True), for dicts with str keys."""
     if isinstance(obj, str):
@@ -69,7 +73,7 @@ def _dumps(obj, indent: str = "\n") -> str:
                         for k, v in sorted(obj.items()))
         return "{" + inner + body + indent + "}"
     try:  # a list of strs, in one join
-        body = sep.join(map(encode_basestring_ascii, obj))
+        body = sep.join(obj if isinstance(obj, _Encoded) else map(encode_basestring_ascii, obj))
     except TypeError:
         body = sep.join(_dumps(v, inner) for v in obj)
     return "[" + inner + body + indent + "]"
@@ -79,11 +83,14 @@ def _emit_json(obj: dict) -> None:
     print(_dumps({**obj, "version": __version__}))
 
 
-def _namer(p: Program):
-    """Maps a set of p's atom ids to their names in name order, from one sort of p's atoms."""
+def _namer(p: Program, encoded: bool = False):
+    """Maps a set of p's atom ids to their names in name order, from one sort of p's
+    atoms; if encoded, to an _Encoded list of the names, each encoded once per program."""
     ids = sorted(range(p.n_atoms), key=p.atom_names.__getitem__)
     names = [p.atom_names[a] for a in ids]
-    return lambda atoms: list(compress(names, map(atoms.__contains__, ids)))
+    kind, names = ((_Encoded, list(map(encode_basestring_ascii, names))) if encoded
+                   else (list, names))
+    return lambda atoms: kind(compress(names, map(atoms.__contains__, ids)))
 
 
 def _set_text(names: list[str]) -> str:
@@ -209,7 +216,7 @@ def _cmd_solve(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
 
     result = mode_result(sets, args.mode, atom)
-    names = _namer(p)
+    names = _namer(p, args.format == "json")
     shown = [names(s) for s in result] if args.mode == "enumerate" else result
 
     if args.format == "json":

@@ -4,9 +4,9 @@ The program is compiled once, from the (head, pos, neg) rule masks of
 CompiledProgram, into an evaluator; no Program is built after the parse.
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
-The rules without atoms of x are closed once into a shared least model B, and
-the rules whose head B holds are dropped: a block visits only the rules that B
-leaves live, so its cost is set by the backdoor, not by the settled rest.  The
+The definite rules without atoms of x are closed first, in one linear pass, into
+a shared least model B; then only the live rules, whose head B leaves open, are
+compiled, and a block visits only those, at a cost set by the backdoor.  The
 assignments lo .. lo + w - 1 (w a power of two, lo a multiple of w) are then
 evaluated together: each atom holds one int whose bit j says whether it lies in
 the candidate of assignment lo + j, so one rule step serves all w of them.  The
@@ -83,40 +83,45 @@ class _Evaluator:
         self.n_atoms, self.dom = n_atoms, atoms_of(x)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
-        idx = {a: i for i, a in enumerate(self.dom)}
+        idx = {a: i for i, a in enumerate(self.dom)}.__getitem__
         self.rules = [r for r in rules if not r[1] & (r[0] | r[2])]
-        # checks: (head | neg indices, pos indices, pos and neg outside x), the
-        # rules that can fail the model test; disj: (neg indices, neg outside x)
-        # of the rules that keep two head atoms in P^M wherever they survive
-        props, self.checks, self.disj = [], [], []
-        for h, pos, neg in self.rules:
-            hx = tuple(idx[a] for a in atoms_of(h & x))
-            nx = tuple(idx[a] for a in atoms_of(neg & x))
-            h_out, neg_out, body = h ^ (h & x), atoms_of(neg ^ (neg & x)), atoms_of(pos)
-            if not h_out:
-                self.checks.append((hx + nx, [idx[a] for a in atoms_of(pos & x)],
-                                    atoms_of(pos ^ (pos & x)), neg_out))
-                if len(hx) == 1:
-                    props.append((h.bit_length() - 1, body, None, (nx, neg_out)))
-                elif hx:
-                    self.disj.append((nx, neg_out))
-            elif h_out & (h_out - 1) or neg_out:
-                raise ValueError("the atoms are not a strong horn backdoor: "
-                                 "some truth assignment reduct is not Horn*")
-            elif hx:
-                props.append((h_out.bit_length() - 1, body, hx + nx, None))
-                self.disj.append((nx, neg_out))
-            else:
-                props.append((h_out.bit_length() - 1, body, nx, (nx, neg_out)))
-        # B: the rules that mention no atom of x, closed once and for all; its
+        # B: the least model of the definite rules that mention no atom of x; its
         # atoms start out true in every block, leave the bodies and drop the rules they head
         in_base = self.in_base = [0] * n_atoms
-        self._index(props)
-        self._fix([int(g == ()) for _, _, g, _ in props], in_base, ())
+        self._index([(h.bit_length() - 1, atoms_of(pos), None, None) for h, pos, neg in self.rules
+                     if h and not h & (h - 1) and not (h | pos) & x and not neg])
+        self._fix([1] * len(self.props), in_base, ())
         self.base = frozenset(a for a, v in enumerate(in_base) if v)
-        self._index([(h, [a for a in body if not in_base[a]], g, m)
-                     for h, body, g, m in props if not in_base[h]])
-        self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)} - self.base)
+        held, keep = atom_mask(self.base), ~x
+        # checks: (head | neg indices, pos indices, pos outside x and B, neg outside
+        # x), the rules that can fail the model test; disj: (neg indices, neg outside
+        # x) of the rules that keep two head atoms in P^M wherever they survive
+        props, self.checks, self.disj = [], [], []
+        for h, pos, neg in self.rules:
+            h_out, neg_out = h & keep, neg & keep
+            if h_out & (h_out - 1) or h_out and neg_out:
+                raise ValueError("the atoms are not a strong horn backdoor: "
+                                 "some truth assignment reduct is not Horn*")
+            if h_out & held:  # the rule holds; it can only keep a second head atom, in x
+                if h & x:
+                    self.disj.append((tuple(map(idx, atoms_of(neg & x))), []))
+                continue
+            hx, nx = tuple(map(idx, atoms_of(h & x))), tuple(map(idx, atoms_of(neg & x)))
+            body = atoms_of(pos & ~held)
+            if h_out:
+                props.append((h_out.bit_length() - 1, body, hx + nx, None if hx else (nx, [])))
+                if hx:
+                    self.disj.append((nx, []))
+                continue
+            neg_out = atoms_of(neg_out)
+            self.checks.append((hx + nx, list(map(idx, atoms_of(pos & x))),
+                                atoms_of(pos & keep & ~held), neg_out))
+            if len(hx) == 1:
+                props.append((h.bit_length() - 1, body, None, (nx, neg_out)))
+            elif hx:
+                self.disj.append((nx, neg_out))
+        self._index(props)
+        self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)})
 
     def _index(self, props) -> None:
         self.props, self.occ = props, [[] for _ in range(len(self.in_base))]

@@ -311,8 +311,11 @@ def core(p: Program) -> Program:
 
 
 def atom_mask(atoms: Iterable[int]) -> int:
-    """Distinct atom ids as an int bitmask: bit a stands for atom id a."""
-    return sum(1 << a for a in atoms)
+    """Atom ids as an int bitmask: bit a stands for atom id a; repeats are harmless."""
+    mask = 0
+    for a in atoms:
+        mask |= 1 << a
+    return mask
 
 
 def atoms_of(mask: int) -> list[int]:

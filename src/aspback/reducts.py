@@ -81,12 +81,8 @@ def gl_reduct(p: Program, m: Iterable[int]) -> Program:
     bodies of the survivors.  The result is negation-free.
     """
     mm = check_atoms(p, m, "interpretation")
-    kept = []
-    for r in p.rules:
-        if r.neg_body & mm:
-            continue
-        kept.append(Rule(r.head, r.pos_body, frozenset()))
-    return p.with_rules(kept)
+    return p.with_rules(Rule(r.head, r.pos_body, frozenset()) for r in p.rules
+                        if not r.neg_body & mm)
 
 
 def ta_reduct(p: Program, tau: TruthAssignment) -> Program:
@@ -98,19 +94,9 @@ def ta_reduct(p: Program, tau: TruthAssignment) -> Program:
     tau is restricted to X intersected with the atom table internally.
     """
     tau = tau.restrict(range(p.n_atoms))
-    x = tau.domain
-    t1 = tau.true_atoms
-    t0 = tau.false_atoms
-    kept = []
-    for r in p.rules:
-        if (r.head & t1) or (r.head <= x):
-            continue
-        if r.pos_body & t0:
-            continue
-        if r.neg_body & t1:
-            continue
-        kept.append(Rule(r.head - x, r.pos_body - x, r.neg_body - x))
-    return p.with_rules(kept)
+    x, t1, t0 = tau.domain, tau.true_atoms, tau.false_atoms
+    return p.with_rules(Rule(r.head - x, r.pos_body - x, r.neg_body - x) for r in p.rules
+                        if not (r.head & t1 or r.head <= x or r.pos_body & t0 or r.neg_body & t1))
 
 
 def delete_atoms(p: Program, x: Iterable[int]) -> Program:
@@ -121,5 +107,4 @@ def delete_atoms(p: Program, x: Iterable[int]) -> Program:
     from the table are ignored.
     """
     xx = frozenset(x)
-    kept = [Rule(*(frozenset(part) - xx for part in r)) for r in p.rule_parts]
-    return p.with_rules(kept)
+    return p.with_rules(Rule(*(frozenset(part) - xx for part in r)) for r in p.rule_parts)

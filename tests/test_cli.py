@@ -1,10 +1,11 @@
 import json
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspback import __version__
-from aspback.cli import _dumps, build_parser, main
+from aspback.cli import _dumps, _Encoded, build_parser, main
 from conftest import EX1_TEXT
 
 
@@ -504,3 +505,11 @@ json_values = st.recursive(scalars, lambda inner: st.one_of(
 @given(json_values)
 def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(strings)))
+def test_dumps_writes_encoded_lists_as_json_dumps(sets):
+    # solve --format json names atoms through _Encoded lists, each name encoded once
+    encoded = [_Encoded(map(encode_basestring_ascii, s)) for s in sets]
+    assert _dumps({"result": encoded}) == json.dumps({"result": sets}, indent=2, sort_keys=True)

@@ -1,10 +1,11 @@
 import os
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from aspback import (BackdoorQuery, EvalReport, ProgramBuilder, TargetClass,
+from aspback import (BackdoorQuery, EvalReport, Program, ProgramBuilder, TargetClass,
                      answer_sets, brute_answer_sets, candidate_sets,
                      check_answer_set, find_backdoor, horn_star_answer_sets,
                      in_target_class, is_answer_set_direct, is_model,
@@ -268,6 +269,38 @@ def test_blocks_skip_the_settled_chain(chain):
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
 
 
+def _reversed_loops(k: int, gadget: str, chain: int) -> Program:
+    """_loops with its chain's rules, c0 included, listed last to first."""
+    p = parse_program(_loops(k, gadget, chain))
+    return p.with_rules(p.rules[:-chain - 1] + p.rules[:-chain - 2:-1])
+
+
+@pytest.mark.parametrize("gadget", ["g{i} :- not g{i}.", "a{i} :- not b{i}.\nb{i} :- not a{i}."])
+def test_reversed_chain_matches_forward(gadget):
+    # B's closure follows the chain from c0 however the rules are listed: the
+    # same report, and only the gadget's rules left to compile
+    k = 7
+    forward = parse_program(_loops(k, gadget, 485))
+    backward = _reversed_loops(k, gadget, 485)
+    assert backward.rule_parts != forward.rule_parts
+    x = {forward.atom_id(f"{gadget[0]}{i}") for i in range(k)}
+    assert answer_sets(backward, x) == answer_sets(forward, x)
+    assert len(evaluate._compile(backward, x).props) == len(evaluate._compile(forward, x).props)
+
+
+def test_long_reversed_chain_closes_in_one_pass():
+    # a fixpoint that re-sweeps the rules in rounds would need 20 000 rounds here
+    k = 13
+    p = _reversed_loops(k, "g{i} :- not g{i}.", 20000)
+    x = {p.atom_id(f"g{i}") for i in range(k)}
+    t0 = time.perf_counter()
+    rep = answer_sets(p, x)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.answer_sets == frozenset() and rep.candidates_total == 2 ** k
+    assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
+    assert len(evaluate._compile(p, x).props) == k
+
+
 def test_rejection_split_even_loops():
     k = 5
     p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
@@ -398,6 +431,14 @@ def test_horn_star_raises_exactly_outside_class():
             with pytest.raises(ValueError):
                 horn_star_answer_sets(p)
     assert 0 < members < 300
+    # B is closed before the rules compile, and a rule whose head holds in B
+    # propagates nothing; it must still be checked against the class
+    for text, x in [("a. a | b.", ()), ("a. a :- not c.", ()), ("c. a :- c. a :- not d.", ()),
+                    ("a. g :- not g. a | b :- g.", ("g",)),
+                    ("a. g :- not g. a :- g, not c.", ("g",))]:
+        p = parse_program(text)
+        with pytest.raises(ValueError, match="not a strong horn backdoor"):
+            answer_sets(p, {p.atom_id(a) for a in x})
 
 
 def test_empty_backdoor_matches_least_model():

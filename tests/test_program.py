@@ -7,6 +7,7 @@ from aspback import (GenConfig, ParseError, Program, ProgramBuilder, Rule,
                      TargetClass, child_seed, core, in_target_class,
                      parse_program, random_program, render_program,
                      render_rule)
+from aspback.program import CompiledProgram, atom_mask
 
 from conftest import EX1_TEXT, program_sigs
 
@@ -276,7 +277,6 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
     # a parsed program reads its id tuples where a program built from the
     # same Rules reads their frozensets; every view must come out the same
     from aspback import BackdoorQuery, find_backdoor, horn_conflict_graph
-    from aspback.program import CompiledProgram
     from test_detect import _golden_corpus
     # a rendered golden program with an all-empty rule (":-.") does not parse
     texts = [render_program(p) for p in _golden_corpus()]
@@ -297,6 +297,21 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
             assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
         assert p == twin and hash(p) == hash(twin), text
     assert len(texts) > 1000 and dups >= 11
+
+
+def test_atom_mask_ors_each_atom_once():
+    assert atom_mask([3, 3]) == 8
+    assert atom_mask(iter([0, 2, 0])) == 5 and atom_mask([]) == 0
+
+
+def test_compiled_rules_are_masks_of_the_atom_sets():
+    from test_detect import _golden_corpus
+    programs = list(_golden_corpus()) + [
+        parse_program(t) for t in _mutants(3000) if not _outcome(t).startswith("error ")]
+    assert len(programs) > 1000
+    for p in programs:
+        want = tuple(tuple(sum(1 << a for a in set(part)) for part in r) for r in p.rule_parts)
+        assert CompiledProgram(p).rules == want
 
 
 def test_parse_deduplicates_each_part():
