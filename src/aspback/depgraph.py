@@ -8,11 +8,11 @@ with a fresh "negative vertex" and forgets orientation (mutually directed
 positive edges collapse to one undirected edge).  Each graph holds per-atom
 int masks, built straight from rule bitmasks, and its edge sets are views
 built when read.  Every cycle search runs on masks, one per vertex; one
-Tarjan pass gives the components (strongly connected, or 2-edge-connected
-when undirected), a component with as many edges as vertices is one simple
-cycle of known length, and in any other a mask breadth-first search measures
-a candidate's distance, bounded by the best cycle so far.  Only the winner's
-FIFO path is rebuilt.
+Tarjan pass per graph gives the components (strongly connected, or
+2-edge-connected when undirected), a component with as many edges as
+vertices is one simple cycle of known length, and in any other a mask
+breadth-first search measures a candidate's distance, bounded by the best
+cycle so far.  Only the winner's FIFO path is rebuilt.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ class DependencyDigraph:
         self.neg = neg
 
     @cached_property
+    def comp(self) -> list[int]:  # shared by every search on this graph
+        return _components(self.succ)
+
+    @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, w) for u, m in enumerate(self.succ) for w in atoms_of(m))
 
@@ -80,6 +84,10 @@ class UndirectedDepGraph:
             adj.setdefault(x, []).append(self.n_atoms + i)
             adj.setdefault(y, []).append(self.n_atoms + i)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def bad_cycle(self) -> list[int] | None:  # shared by every search on it
+        return _bad_cycle(self.n_atoms, self.neg_edges, self.pos)
 
     @property
     def n_vertices(self) -> int:
@@ -200,7 +208,7 @@ def _distance(adj: list[int], src: int, dst: int, limit: int, within: int,
             return d
         seen |= frontier
         nxt = 0
-        while frontier:
+        while frontier and d < limit:  # the last level is not expanded
             low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
             frontier ^= low
@@ -247,15 +255,20 @@ def _first_shortest(adj: list[int], comp: list[int], cands, undirected: bool,
                     length, best = cm.bit_count(), (src, dst, skip, cm)
                 continue
             tangled |= cm
-        d = _distance(adj, src, dst, length - 1 - extra, cm, skip)
+        if length - 1 - extra == 1:  # only the edge src -> dst is short enough
+            d = 1 if (adj[src] & ~skip) >> dst & 1 else None
+        else:
+            d = _distance(adj, src, dst, length - 1 - extra, cm, skip)
         if d is not None:
             length, best = d + extra, (src, dst, skip, cm)
     return None if best is None else _fifo_path(adj, *best)
 
 
-def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool,
-                    skip_two: bool) -> CycleWitness | None:
-    """The search of find_directed_cycle on successor masks."""
+def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: bool,
+                    comp: list[int] | None = None) -> CycleWitness | None:
+    """The search of find_directed_cycle on successor masks.  comp, when
+    given, holds their components or, empty, is filled with them once the
+    search needs them."""
     def witness(cycle: list[int]) -> CycleWitness:
         verts = _rotate_min(cycle)
         bad = any(neg[a] >> b & 1 for a, b in zip(verts, verts[1:] + verts[:1]))
@@ -269,16 +282,18 @@ def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool,
             if succ[v] >> u & 1 and (neg[u] >> v | neg[v] >> u) & 1:
                 return witness([u, v])
     # edge (u, v) is closed by a path v -> u; with skip_two, not by v -> u
-    comp = _components(succ)
+    if comp is None:
+        comp = _components(succ)
+    elif not comp:
+        comp += _components(succ)  # in place, for the caller
     path = _first_shortest(succ, comp, (
         (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
         for v in atoms_of(m & comp[u])), False, 3 if skip_two else 2)
     return None if path is None else witness(path[-1:] + path[:-1])
 
 
-def _undirected_cycle(n: int, neg_edges, pos: list[int],
-                      bad_only: bool) -> tuple[list[int], bool] | None:
-    """The search of find_undirected_cycle: (cycle, bad) or None."""
+def _bad_cycle(n: int, neg_edges, pos: list[int]) -> list[int] | None:
+    """The cycle through a negative vertex that find_undirected_cycle finds."""
     best = next(([x, n + i] for i, (x, y) in enumerate(neg_edges) if x == y), None)
     if best is None:
         # no subdivided self-loop (the shortest), so no parallel edges; n + i
@@ -292,6 +307,13 @@ def _undirected_cycle(n: int, neg_edges, pos: list[int],
             (x, y, 1 << n + i) for i, (x, y) in enumerate(neg_edges)), True, 3)
         if path is not None:  # negative edges are distinct
             best = [n + neg_edges.index((path[0], path[-1]))] + path
+    return best
+
+
+def _undirected_cycle(pos: list[int], bad_only: bool,
+                      best: list[int] | None) -> tuple[list[int], bool] | None:
+    """The search of find_undirected_cycle, given its bad cycle best:
+    (cycle, bad) or None."""
     if not bad_only:
         for u in (u for u, m in enumerate(pos) if m >> u & 1):
             return [u], False  # positive loop (non-core input)
@@ -352,69 +374,109 @@ def find_undirected_cycle(g: UndirectedDepGraph, *,
                           bad_only: bool = False) -> CycleWitness | None:
     """Shortest-found forbidden undirected cycle, or None; bad iff it passes
     a negative vertex, as every cycle of the per-negative-vertex search does."""
-    found = _undirected_cycle(g.n_atoms, g.neg_edges, g.pos, bad_only)
+    found = _undirected_cycle(g.pos, bad_only, g.bad_cycle)
     return None if found is None else CycleWitness(
         "undirected", _rotate_min(found[0]), found[1], g)
 
 
 def cycle_witness(succ: list[int], neg: list[int], c: TargetClass,
-                  udg: UndirectedDepGraph | None = None) -> CycleWitness | None:
+                  udg: UndirectedDepGraph | None = None,
+                  comp: list[int] | None = None) -> CycleWitness | None:
     """Forbidden cycle for class c in the dependency graph of these masks,
-    whose undirected graph is udg when given."""
+    whose undirected graph is udg and, for a directed class, whose
+    components are comp, each when given."""
     if c not in ACYCLIC_CLASSES:
         raise ValueError(f"{c} is not an acyclicity-based class")
     if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC:
         return find_undirected_cycle(udg or _udg(succ, neg),
                                      bad_only=c is TargetClass.BC_ACYC)
     return _directed_cycle(succ, neg, c is TargetClass.STRAT,
-                           c is TargetClass.DC2_ACYC)
+                           c is TargetClass.DC2_ACYC, comp)
+
+
+def _branch_atoms(succ: list[int], pred: list[int], comp: list[int],
+                  cycle: tuple[int, ...]) -> int:
+    """The atoms of a cycle in graph succ, with components comp, that a
+    deletion search branches on when no deletion adds an edge; pred[a],
+    masked by the live atoms, holds a's in-neighbours.  Atom a defers to u
+    if u is its only in-neighbour in its component, else its only
+    out-neighbour there: every cycle through a, in any subgraph, then passes
+    u, so a solution holding a stays one with u in its place.  The roots of
+    the deferral chains remain."""
+    cm = comp[cycle[0]]
+    # in cm, a's only in-neighbour can only be its predecessor on the cycle and
+    # its only out-neighbour its successor: a defers a step back (-1), on (1)
+    # or not (0).  So a chain that closes on itself is a pair deferring to
+    # each other or the whole cycle one way round; it keeps its least atom.
+    steps = [-1 if not (m := pred[a] & cm) & (m - 1)
+             else int(not (m := succ[a] & cm) & (m - 1)) for a in cycle]
+    out = 0
+    for i, a in enumerate(cycle):
+        if not steps[i]:
+            out |= 1 << a
+        elif (steps[i], steps[i + 1 - len(cycle)]) == (1, -1):
+            out |= 1 << min(a, cycle[i + 1 - len(cycle)])
+    return out or 1 << min(cycle)
 
 
 def _deletion_graph(cp: CompiledProgram) -> tuple:
-    """cp.graph, built on first use: the succ and neg masks of the rules of
-    cp that are not tautological, their undirected graph, the tautological
+    """cp.graph, built on first use: the dependency graph of the rules of cp
+    that are not tautological, its undirected graph, the tautological
     rules, and in rule order the rules with two or more head atoms."""
     if cp.graph is None:
         taut = [r for r in cp.rules if r[1] & (r[0] | r[2])]
         succ, neg = _dep_masks(cp.n_atoms, [r for r in cp.rules if not r[1] & (r[0] | r[2])]
                                if taut else cp.rules)
-        cp.graph = (succ, neg, _udg(succ, neg), taut,
+        cp.graph = (DependencyDigraph(succ, neg), _udg(succ, neg), taut,
                     [r for r in cp.rules if r[0] & (r[0] - 1)])
     return cp.graph
 
 
 def core_witness(cp: CompiledProgram, c: TargetClass) -> CycleWitness | None:
     """Forbidden cycle for class c in the dependency graph of cp's core."""
-    succ, neg, udg, _, _ = _deletion_graph(cp)
-    return cycle_witness(succ, neg, c, udg)
+    d, udg, _, _ = _deletion_graph(cp)
+    directed = c is not TargetClass.C_ACYC and c is not TargetClass.BC_ACYC
+    return cycle_witness(d.succ, d.neg, c, udg, d.comp if directed else None)
 
 
 def deletion_violation(cp: CompiledProgram, c: TargetClass):
-    """x -> violation(cp, c, x) for an acyclicity class c on one graph: the
-    masked head of the first rule left non-tautological with two head atoms,
-    else the atoms of the forbidden cycle once the rows of x are zeroed, the
-    rest ANDed with ~x and the edges of the rules x wakes ORed in (exact, as
-    deletion keeps a non-tautological rule's other edges as they are).  If
-    x wakes none, the undirected graph is masked so, not rebuilt."""
-    succ, neg, udg, taut, multi = _deletion_graph(cp)
+    """x -> (violation(cp, c, x), branch) for an acyclicity class c on one
+    graph: the masked head of the first rule left non-tautological with two
+    head atoms, else the atoms of the forbidden cycle once the rows of x are
+    zeroed, the rest ANDed with ~x and the edges of the rules x wakes ORed in
+    (exact, as deletion keeps a non-tautological rule's other edges as they
+    are).  If x wakes none, the undirected graph is masked so, not rebuilt.
+    branch drops the dominated atoms (_branch_atoms) of a directed cycle whose
+    search computed the components, when no rule is tautological or
+    disjunctive, so that no deletion adds an edge."""
+    d, udg, taut, multi = _deletion_graph(cp)
     n, occ, wake = cp.n_atoms, cp.occurring, cp.wake
     ends = [(e, 1 << e[0] | 1 << e[1]) for e in udg.neg_edges] if c in (
         TargetClass.C_ACYC, TargetClass.BC_ACYC) else None
+    pred = None
+    if ends is None and not wake and not multi:
+        # no deletion adds an edge, so pred masked by the live atoms gives each
+        # node's in-neighbours
+        pred = [0] * n
+        for u, m in enumerate(d.succ):
+            for w in atoms_of(m):
+                pred[w] |= 1 << u
 
-    def viol(x: int) -> int:
+    def viol(x: int) -> tuple[int, int]:
         keep = ~x
         for h, pos, ng in multi:
             h &= keep
             if h & (h - 1) and not pos & keep & (h | ng):
-                return h
+                return h, h
         if ends is not None and not x & wake:
             pos = [m & keep for m in udg.pos]
             for a in atoms_of(x & occ):
                 pos[a] = 0
-            found = _undirected_cycle(n, tuple(e for e, m in ends if not m & x), pos,
-                                      c is TargetClass.BC_ACYC)
-            return 0 if found is None else atom_mask(v for v in found[0] if v < n)
-        s, g = [m & keep for m in succ], [m & keep for m in neg]
+            found = _undirected_cycle(pos, c is TargetClass.BC_ACYC, _bad_cycle(
+                n, tuple(e for e, m in ends if not m & x), pos))
+            v = 0 if found is None else atom_mask(v for v in found[0] if v < n)
+            return v, v
+        s, g = [m & keep for m in d.succ], [m & keep for m in d.neg]
         for a in atoms_of(x & occ):
             s[a] = g[a] = 0
         for h, pos, ng in taut if x & wake else ():
@@ -422,8 +484,10 @@ def deletion_violation(cp: CompiledProgram, c: TargetClass):
             if h and not pos & (h | ng):  # woken, with one head atom
                 s[h.bit_length() - 1] |= pos | ng
                 g[h.bit_length() - 1] |= ng
-        w = cycle_witness(s, g, c)
-        return 0 if w is None else atom_mask(v for v in w.vertices if v < n)
+        comp = None if pred is None else []  # filled if the cycle search needs it
+        w = cycle_witness(s, g, c, comp=comp)
+        v = 0 if w is None else atom_mask(v for v in w.vertices if v < n)
+        return v, _branch_atoms(s, pred, comp, w.vertices) if v and comp else v
     return viol
 
 

@@ -4,30 +4,34 @@ Detection for the Horn target reduces to minimum vertex cover of the conflict
 graph (two atoms clash when a non-tautological rule puts both in the head, or
 one in the head and one in the negative body), held as one neighbour mask per
 atom; its edge set is built only when read.  Self-loop atoms join the cover
-first; each connected component of the rest is then searched on its own, on
-masks relabelled over its vertices, with the bounded search tree of FPT vertex
-cover kept on an explicit stack: drop degree-0 vertices and take the neighbour
-of each degree-1 vertex, take any vertex once only cycles are left, else
-branch on a maximum-degree vertex or on all of its neighbours; a greedy
-matching is the lower bound.  Deletion detection branches on head atoms of
-normality-violating rules and on atom vertices of forbidden cycles, over
-deletion masks of the program compiled into rule bitmasks; one memo maps each
-mask to its violation (depgraph's cycle search on the program's one
-dependency graph with the mask's vertices masked out, a few mask operations
-per atom; Horn masks the rules).  Its nodes are pruned by a greedy packing of
-atom-disjoint violations, sound only until a packed violation meets an atom
-whose deletion can wake a tautological rule; the packing stops there.
+first; each connected component of the rest, flooded from its lowest vertex,
+is then searched on its own, on the graph's masks restricted to it, with the
+bounded search tree of FPT vertex cover kept on an explicit stack: drop
+degree-0 vertices and take the neighbour of each degree-1 vertex, take any
+vertex once only cycles are left, else branch on a maximum-degree vertex or
+on all of its neighbours; a greedy matching is the lower bound.  Deletion
+detection branches on head atoms of normality-violating rules and on atom
+vertices of forbidden cycles, over deletion masks of the program compiled
+into rule bitmasks; one memo maps each mask to its violation (depgraph's
+cycle search on the program's one dependency graph with the mask's vertices
+masked out, a few mask operations per atom; Horn masks the rules) and to the
+atoms to branch on: all of them, but where no deletion adds an edge, a
+directed cycle's dominated atoms drop out (depgraph._branch_atoms).  Its
+nodes are pruned by a greedy packing of atom-disjoint violations, sound only
+until a packed violation meets an atom whose deletion can wake a
+tautological rule; the packing stops there.
 
 Both searches run in two passes.  A size pass prunes ties and gives the
 optimum size; a lexicographic pass then keeps each atom, in ascending order,
 that some optimal solution holds together with the atoms kept so far: free
 when the current witness holds it, else by a search that stops at its first
 solution, the new witness.  A skipped atom need not be forbidden later: an
-optimal solution holding it would have passed its test.  The vertex-cover
-kernels may reach any of the tied optima, which is safe because each pass
-asks only for a size or for a first solution.  All searches are exact and
-return the minimum witness whose sorted id-vector is lexicographically
-smallest.
+optimal solution holding it would have passed its test.  A skipped vertex's
+neighbours are in every such cover, so later cover tests drop them from
+their graph and their budget.  The kernels and the dominated atoms may lead
+to any of the tied optima, which is safe because each pass asks only for a
+size or for a first solution.  All searches are exact and return the minimum
+witness whose sorted id-vector is lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .depgraph import _components, deletion_violation
+from .depgraph import deletion_violation
 from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
                       atom_mask, atoms_of, tautological, violation)
 from .reducts import check_atoms
@@ -153,18 +157,17 @@ def _vc_search(adj: list[int], alive: int, best: int,
     return found, nodes
 
 
-def _vc_component(adj: list[int], budget: int) -> tuple[int | None, int]:
-    """Lexicographically smallest minimum cover (a mask) of one component
-    within budget, and the nodes of both passes.  The lexicographic pass
-    keeps a maximal matching of the vertices not yet kept, built from the
-    highest vertex down so that a tested vertex is often matched to a lower,
-    kept one and so free: a test fails without a search when its graph keeps
-    as many matched edges as the cover has places left."""
-    full = (1 << len(adj)) - 1
-    cover, nodes = _vc_search(adj, full, budget + 1, False)
+def _vc_component(adj: list[int], comp: int, budget: int) -> tuple[int | None, int]:
+    """Lexicographically smallest minimum cover (a mask) of the component
+    comp within budget, and the nodes of both passes.  The lexicographic
+    pass keeps a maximal matching of the vertices not yet kept, built from
+    the highest vertex down so that a tested vertex is often matched to a
+    lower, kept one and so free: a test fails without a search when its
+    graph keeps as many matched edges as the cover has places left."""
+    cover, nodes = _vc_search(adj, comp, budget + 1, False)
     if cover is None:
         return None, nodes
-    mate, pairs, rest = [-1] * len(adj), 0, full
+    mate, pairs, rest = {}, 0, comp
     while rest:
         u = rest.bit_length() - 1
         rest ^= 1 << u
@@ -174,61 +177,58 @@ def _vc_component(adj: list[int], budget: int) -> tuple[int | None, int]:
             rest ^= 1 << w
             mate[u], mate[w] = w, u
             pairs += 1
-    kept = 0
-    for v in range(len(adj)):
-        left = cover.bit_count() - kept.bit_count()
+    kept = forced = 0
+    left = cover.bit_count()  # every witness has this optimum size
+    for v in atoms_of(comp):
         if not left:
             break
         bit = 1 << v
         if not cover & bit:
-            if not adj[v] & ~kept or pairs - (mate[v] >= 0) >= left:
+            owed, found = (forced & ~kept).bit_count(), None
+            if adj[v] & ~kept and pairs - (v in mate) < left and owed < left:
+                found, n = _vc_search(adj, comp & ~(kept | forced | bit), left - owed, True)
+                nodes += n
+            if found is None:  # no such cover holds v, each holds its neighbours
+                forced |= adj[v]
                 continue
-            found, n = _vc_search(adj, full & ~(kept | bit), left, True)
-            nodes += n
-            if found is None:
-                continue
-            cover = kept | bit | found
+            cover = kept | forced | bit | found
         kept |= bit
-        if mate[v] >= 0:
-            mate[mate[v]] = -1
+        left -= 1
+        if v in mate:
+            del mate[mate.pop(v)]
             pairs -= 1
     return kept, nodes
 
 
 def _vc_min(g: ConflictGraph, k: int | None) -> tuple[frozenset[int] | None, int]:
     loops = sum(m & 1 << a for a, m in enumerate(g.adj))  # the forced atoms
-    forced = atoms_of(loops)
-    if k is not None and len(forced) > k:
+    if k is not None and loops.bit_count() > k:
         return None, 0
     adj = [0 if loops >> a & 1 else m & ~loops for a, m in enumerate(g.adj)]
 
-    # adj is symmetric, so its strongly connected components are the connected
-    # ones; each, at its smallest vertex lo, is relabelled 0..m-1 in atom order
-    # from its masks shifted down by lo, which keeps the ints short
-    comp_adjs = []
-    for lo, cm in enumerate(_components(adj)):
-        if cm & -cm == 1 << lo:
-            rank = {w: i for i, w in enumerate(atoms_of(cm >> lo))}
-            comp_adjs.append(([lo + w for w in rank], [
-                sum(1 << rank[u] for u in atoms_of(adj[lo + w] >> lo)) for w in rank]))
-    match_lbs = [_matching_lb(ca, (1 << len(ca)) - 1) for _, ca in comp_adjs]
+    # adj is symmetric: flood each connected component from its lowest vertex
+    comps, rest = [], atom_mask(a for a, m in enumerate(adj) if m)
+    while rest:
+        comp = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & ~comp
+            comp, todo = comp | new, todo ^ (low | new)
+        rest &= ~comp
+        comps.append((comp, _matching_lb(adj, comp)))
 
-    remaining = (k - len(forced)) if k is not None else None
-    cover: list[int] = list(forced)
-    nodes, later = 0, sum(match_lbs)
-    for (vs, ca), lb in zip(comp_adjs, match_lbs):
+    cover, nodes, later = loops, 0, sum(lb for _, lb in comps)
+    for comp, lb in comps:
         later -= lb  # the bound of the components after this one
-        budget = len(ca) if remaining is None else remaining - later
+        budget = comp.bit_count() if k is None else k - cover.bit_count() - later
         if budget < 0:
             return None, nodes
-        found, n = _vc_component(ca, budget)
+        found, n = _vc_component(adj, comp, budget)
         nodes += n
         if found is None:
             return None, nodes
-        cover.extend(vs[j] for j in atoms_of(found))
-        if remaining is not None:
-            remaining -= found.bit_count()
-    return frozenset(cover), nodes
+        cover |= found
+    return frozenset(atoms_of(cover)), nodes
 
 
 def vertex_cover_min(g: ConflictGraph, k: int | None = None) -> frozenset[int] | None:
@@ -308,8 +308,9 @@ def _deletion_search(p: Program, target: TargetClass,
     on ties, and the search nodes of both passes (see the module notes)."""
     cp = CompiledProgram(p)
     n_occ = cp.occurring.bit_count()
+    # the per-search memo: x -> (violation, the atoms to branch on)
     viol = cache(deletion_violation(cp, target) if target in ACYCLIC_CLASSES
-                 else lambda x: violation(cp, target, x))  # the per-search memo
+                 else lambda x: (violation(cp, target, x),) * 2)
     nodes = 0
 
     def packing_prunes(x: int, v: int, budget: int) -> bool:
@@ -327,7 +328,7 @@ def _deletion_search(p: Program, target: TargetClass,
             if v & cp.wake:
                 return False
             x |= v
-            v = viol(x)
+            v = viol(x)[0]
         return False
 
     def search(root: int, budget: int, first: bool) -> int | None:
@@ -343,11 +344,11 @@ def _deletion_search(p: Program, target: TargetClass,
             nodes += 1
             if x.bit_count() > budget:
                 continue
-            v = viol(x)
+            v, branch = viol(x)
             if not v:
                 found, budget = x, x.bit_count() - 1
             elif not packing_prunes(x, v, budget):
-                stack.extend(x | 1 << a for a in reversed(atoms_of(v)))
+                stack.extend(x | 1 << a for a in reversed(atoms_of(branch)))
         return found
 
     witness = search(0, n_occ if k is None else min(k, n_occ), False)

@@ -398,7 +398,7 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None 
         raise ValueError(f"unknown target class {c!r}")
     from .depgraph import _dep_masks, cycle_witness, deletion_violation
     if true is None:
-        return deletion_violation(cp, c)(x)
+        return deletion_violation(cp, c)(x)[0]
     rules = cp.core(x, true)
     for h, _, _ in rules:
         if h & (h - 1):

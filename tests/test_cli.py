@@ -4,7 +4,7 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspback import __version__
+from aspback import GenConfig, __version__, random_program, render_program
 from aspback.cli import _dumps, _Encoded, build_parser, main
 from conftest import EX1_TEXT
 
@@ -108,6 +108,22 @@ def test_classify_builds_one_graph(capsys, tmp_path, monkeypatch):
     f.write_text(DISJ_TEXT)
     code, _, _ = run(capsys, "classify", str(f))
     assert code == 0 and sorted(calls) == ["_dep_masks", "_udg"]
+
+
+def test_classify_runs_tarjan_once_per_graph(capsys, tmp_path, monkeypatch):
+    # dc-acyc, dc2-acyc and strat share the components of the dependency
+    # graph, c-acyc and bc-acyc those of its undirected graph
+    import aspback.depgraph as dg
+    calls = []
+    monkeypatch.setattr(dg, "_components", lambda adj, undirected=False, fn=dg._components:
+                        calls.append(undirected) or fn(adj, undirected))
+    big = render_program(random_program(GenConfig(200, 2.5, seed=3)))
+    for i, text in enumerate((DISJ_TEXT, big)):
+        f = tmp_path / f"p{i}.lp"
+        f.write_text(text)
+        calls.clear()
+        code, out, _ = run(capsys, "classify", str(f))
+        assert code == 0 and out.count(": no (") == 5 and sorted(calls) == [False, True]
 
 
 def test_graph_kinds(capsys, ex1_file):

@@ -9,7 +9,7 @@ from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      horn_conflict_graph, in_target_class, parse_program,
                      random_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
-from aspback.depgraph import _dep_masks, cycle_witness
+from aspback.depgraph import _dep_masks, cycle_witness, deletion_violation
 from aspback.oracle import reducts_in_class
 from aspback.program import CompiledProgram, atom_mask, atoms_of, tautological, violation
 from conftest import corpus, names_of
@@ -219,6 +219,31 @@ def test_find_backdoor_matches_brute(kind, target):
         assert got == want  # identical witness, not just size
 
 
+def test_deletion_search_skips_dominated_atoms_exactly():
+    # normal programs without tautologies, where the directed searches branch
+    # only on cycle atoms that defer to no other: the witness is still the
+    # brute-force one, k = |w| finds it and k = |w| - 1 nothing
+    targets = (TargetClass.STRAT, TargetClass.DC_ACYC, TargetClass.DC2_ACYC)
+    skipped = 0
+    for i in range(162):
+        p = random_program(GenConfig(5 + i % 6, (1.0, 1.5, 2.0)[i // 6 % 3],
+                                     seed=child_seed(2020, i)))
+        cp = CompiledProgram(p)
+        assert not cp.wake and all(len(r[0]) == 1 for r in p.rule_parts)
+        for t in targets:
+            v, branch = deletion_violation(cp, t)(0)
+            assert branch & ~v == 0 and bool(branch) == bool(v)
+            skipped += branch != v
+            want = brute_min_backdoor(p, t, "deletion")
+            for k in (None, len(want)):
+                got = find_backdoor(p, BackdoorQuery(t, "deletion", k)).witness
+                assert got == want, f"program {i}, {t}, k={k}"
+            if want:
+                assert find_backdoor(p, BackdoorQuery(t, "deletion", len(want) - 1)).witness \
+                    is None, f"program {i}, {t}"
+    assert skipped >= 100
+
+
 def test_deletion_search_deep_witness_iterative():
     # a witness deeper than the default recursion limit: 1100 disjoint odd
     # loops, each needing its own deletion, one search node per level
@@ -282,6 +307,32 @@ def test_vertex_cover_matches_brute_lex_min():
             expected = want if k is None or k == len(want) else None
             assert vertex_cover_min(g, k) == expected, f"graph {i}, k={k}"
     assert several >= 100
+    # 2-4 connected components over atoms dealt out at random, so that each
+    # component's ids interleave with another's
+    interleaved = 0
+    for i in range(300):
+        parts = rng.randint(2, 4)
+        n = rng.randint(2 * parts, 12)
+        ids = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n // 2), parts - 1))
+        blocks = [ids[2 * a:2 * b] for a, b in zip([0] + cuts, cuts + [n // 2])]
+        blocks[-1] += ids[n // 2 * 2:]
+        edges = set()
+        for block in blocks:
+            for j in range(1, len(block)):  # a random tree, then more edges
+                a, b = block[j], rng.choice(block[:j])
+                edges.add((min(a, b), max(a, b)))
+            for a, b in combinations(block, 2):
+                if rng.random() < 0.3:
+                    edges.add((min(a, b), max(a, b)))
+        spans = sorted((min(b), max(b)) for b in blocks)
+        interleaved += any(lo2 < hi1 for (_, hi1), (lo2, _) in zip(spans, spans[1:]))
+        g = _graph(n, edges)
+        want = _brute_lex_cover(n, edges)
+        for k in (None, *range(len(want) + 1)):
+            expected = want if k is None or k == len(want) else None
+            assert vertex_cover_min(g, k) == expected, f"components {i}, k={k}"
+    assert interleaved >= 250
 
 
 def _strong_corpus():
@@ -470,7 +521,7 @@ def test_deletion_search_builds_one_graph(monkeypatch):
     monkeypatch.setattr(CompiledProgram, "core", counted("core", CompiledProgram.core))
     monkeypatch.setattr(aspback.depgraph, "_dep_masks",
                         counted("dep_masks", aspback.depgraph._dep_masks))
-    p = random_program(GenConfig(20, 1.5, seed=1))
+    p = random_program(GenConfig(30, 1.5, seed=1))
     assert not any(tautological(*r) for r in p.rule_parts)
     r = find_backdoor(p, BackdoorQuery(TargetClass.STRAT, "deletion"))
     assert r.nodes_explored >= 50 and calls == {"core": 0, "dep_masks": 1}
