@@ -7,7 +7,7 @@ from .depgraph import (CycleWitness, DependencyDigraph, IncidenceGraph,
                        UndirectedDepGraph, build_ddg, build_udg,
                        describe_witness, dot_ddg, dot_incidence, dot_udg,
                        find_directed_cycle, find_undirected_cycle,
-                       incidence_graph, witness_cycle)
+                       in_target_class, incidence_graph, witness_cycle)
 from .evaluate import (Candidate, EvalReport, answer_sets, candidate_sets,
                        check_answer_set, horn_star_answer_sets, mode_result)
 from .generate import (GenConfig, HittingSetInstance, child_seed,
@@ -16,8 +16,8 @@ from .generate import (GenConfig, HittingSetInstance, child_seed,
 from .oracle import (brute_answer_sets, brute_min_backdoor,
                      is_answer_set_direct, is_model, least_model)
 from .program import (ACYCLIC_CLASSES, ParseError, Program, ProgramBuilder,
-                      Rule, TargetClass, core, in_target_class, parse_program,
-                      render_program, render_rule)
+                      Rule, TargetClass, core, parse_program, render_program,
+                      render_rule)
 from .reducts import (TruthAssignment, assignments_over, delete_atoms,
                       gl_reduct, ta_reduct)
 

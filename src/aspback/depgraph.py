@@ -1,4 +1,7 @@
-"""Dependency graphs, acyclicity witnesses, incidence graph, DOT export.
+"""Class membership, dependency and incidence graphs, cycle witnesses, DOT.
+
+Membership in every target class is decided here; deletion_violation's
+closure serves the deletion search and its oracle, Horn too.
 
 The directed dependency graph has an edge (x, y) whenever some rule has x in
 the head and y in the body, or x and y jointly in the head; the edge is
@@ -440,15 +443,18 @@ def core_witness(cp: CompiledProgram, c: TargetClass) -> CycleWitness | None:
 
 
 def deletion_violation(cp: CompiledProgram, c: TargetClass):
-    """x -> (violation(cp, c, x), branch) for an acyclicity class c on one
-    graph: the masked head of the first rule left non-tautological with two
-    head atoms, else the atoms of the forbidden cycle once the rows of x are
-    zeroed, the rest ANDed with ~x and the edges of the rules x wakes ORed in
-    (exact, as deletion keeps a non-tautological rule's other edges as they
-    are).  If x wakes none, the undirected graph is masked so, not rebuilt.
-    branch drops the dominated atoms (_branch_atoms) of a directed cycle whose
-    search computed the components, when no rule is tautological or
-    disjunctive, so that no deletion adds an edge."""
+    """x -> (violation(cp, c, x), branch), the atoms to branch on: all of the
+    violation for Horn, and for an acyclicity class c on one graph the masked
+    head of the first rule left non-tautological with two head atoms, else
+    the atoms of the forbidden cycle once the rows of x are zeroed, the rest
+    ANDed with ~x and the edges of the rules x wakes ORed in (exact, as
+    deletion keeps a non-tautological rule's other edges as they are).  If x
+    wakes none, the undirected graph is masked so, not rebuilt.  branch drops
+    the dominated atoms (_branch_atoms) of a directed cycle whose search
+    computed the components, when no rule is tautological or disjunctive, so
+    that no deletion adds an edge."""
+    if c not in ACYCLIC_CLASSES:  # Horn, or an unknown class violation rejects
+        return lambda x: (violation(cp, c, x),) * 2
     d, udg, taut, multi = _deletion_graph(cp)
     n, occ, wake = cp.n_atoms, cp.occurring, cp.wake
     ends = [(e, 1 << e[0] | 1 << e[1]) for e in udg.neg_edges] if c in (
@@ -489,6 +495,37 @@ def deletion_violation(cp: CompiledProgram, c: TargetClass):
         v = 0 if w is None else atom_mask(v for v in w.vertices if v < n)
         return v, _branch_atoms(s, pred, comp, w.vertices) if v and comp else v
     return viol
+
+
+def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None = None) -> int:
+    """Atoms (a mask) of the first violation of class c by the core of the
+    compiled program with the atoms of x deleted, or of its truth-assignment
+    reduct by true (see CompiledProgram.core), else 0; each holds an atom
+    outside x.  Horn (deletions too): the head and negative body of the first
+    non-Horn rule, as deleting a positive body atom never makes a rule Horn.
+    Acyclicity: the head of the first non-normal rule, else the atom vertices
+    of the forbidden cycle in cp's one graph with x masked out
+    (deletion_violation), or for a reduct in masks ORed from its rules."""
+    if true is None and c in ACYCLIC_CLASSES:
+        return deletion_violation(cp, c)(x)[0]
+    rules = cp.core(x, true)
+    if c is TargetClass.HORN:
+        for h, _, neg in rules:
+            if h & (h - 1) or neg:
+                return h | neg
+        return 0
+    if c not in ACYCLIC_CLASSES:
+        raise ValueError(f"unknown target class {c!r}")
+    for h, _, _ in rules:
+        if h & (h - 1):
+            return h
+    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
+    return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
+
+
+def in_target_class(p: Program, c: TargetClass) -> bool:
+    """Membership of p in class c (always modulo tautologies/constraints)."""
+    return violation(CompiledProgram(p), c) == 0
 
 
 def witness_cycle(p: Program, c: TargetClass) -> CycleWitness | None:

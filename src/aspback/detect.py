@@ -10,13 +10,11 @@ bounded search tree of FPT vertex cover kept on an explicit stack: drop
 degree-0 vertices and take the neighbour of each degree-1 vertex, take any
 vertex once only cycles are left, else branch on a maximum-degree vertex or
 on all of its neighbours; a greedy matching is the lower bound.  Deletion
-detection branches on head atoms of normality-violating rules and on atom
-vertices of forbidden cycles, over deletion masks of the program compiled
-into rule bitmasks; one memo maps each mask to its violation (depgraph's
-cycle search on the program's one dependency graph with the mask's vertices
-masked out, a few mask operations per atom; Horn masks the rules) and to the
-atoms to branch on: all of them, but where no deletion adds an edge, a
-directed cycle's dominated atoms drop out (depgraph._branch_atoms).  Its
+detection branches on the atoms of violations, over deletion masks of the
+program compiled into rule bitmasks; one memo maps each mask to its
+violation and the atoms to branch on, from depgraph's deletion_violation
+closure, which decides membership for every target, Horn included (where no
+deletion adds an edge, a directed cycle's dominated atoms drop out).  Its
 nodes are pruned by a greedy packing of atom-disjoint violations, sound only
 until a packed violation meets an atom whose deletion can wake a
 tautological rule; the packing stops there.
@@ -40,13 +38,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .depgraph import deletion_violation
-from .program import (ACYCLIC_CLASSES, CompiledProgram, Program, TargetClass,
-                      atom_mask, atoms_of, tautological, violation)
+from .depgraph import deletion_violation, violation
+from .program import (CompiledProgram, Program, TargetClass, atom_mask,
+                      atoms_of, tautological)
 from .reducts import check_atoms
 # not called here, but perfbench/tracer.py wraps these names in detect
-from .depgraph import witness_cycle  # noqa: F401
-from .program import core, in_target_class  # noqa: F401
+from .depgraph import in_target_class, witness_cycle  # noqa: F401
+from .program import core  # noqa: F401
 from .reducts import delete_atoms, ta_reduct  # noqa: F401
 
 STRONG_ENUM_GUARD = 30
@@ -309,8 +307,7 @@ def _deletion_search(p: Program, target: TargetClass,
     cp = CompiledProgram(p)
     n_occ = cp.occurring.bit_count()
     # the per-search memo: x -> (violation, the atoms to branch on)
-    viol = cache(deletion_violation(cp, target) if target in ACYCLIC_CLASSES
-                 else lambda x: (violation(cp, target, x),) * 2)
+    viol = cache(deletion_violation(cp, target))
     nodes = 0
 
     def packing_prunes(x: int, v: int, budget: int) -> bool:
@@ -400,8 +397,6 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
         witness, nodes = _vc_min(horn_conflict_graph(p), query.k)
     elif query.kind == "deletion":
         witness, nodes = _deletion_search(p, query.target, query.k)
-    elif query.target in ACYCLIC_CLASSES:
+    else:  # depgraph rejects an unknown target class
         witness, nodes = _strong_acyclic_search(p, query.target, query.k)
-    else:
-        raise ValueError(f"unknown target class {query.target!r}")
     return BackdoorResult(witness, witness is not None, nodes)

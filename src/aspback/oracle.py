@@ -3,6 +3,9 @@
 The brute-force ones enumerate bitmask-encoded interpretations exhaustively
 and are guarded against accidental use on large inputs.  The Horn ones (model
 check, least model) work on atom-id sets, apart from the evaluator's masks.
+The deletion-backdoor oracle shares the search's deletion_violation closure;
+its independence comes from tests/test_membership_reference.py, which checks
+that closure against the class definitions.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable
 
-from .detect import verify_backdoor
-from .program import (CompiledProgram, Program, TargetClass, atom_mask,
-                      atoms_of, in_target_class)
+from .depgraph import deletion_violation, in_target_class
+from .program import CompiledProgram, Program, TargetClass, atom_mask, atoms_of
 from .reducts import assignments_over, check_atoms, ta_reduct
 
 BRUTE_ATOM_GUARD = 20
@@ -128,12 +130,15 @@ def brute_min_backdoor(p: Program, target: TargetClass, kind: str,
                        max_atoms: int = BRUTE_BACKDOOR_GUARD) -> frozenset[int]:
     """Smallest backdoor by subset enumeration, size then lexicographic order;
     strong ones by their definition (all truth-assignment reducts), Horn too."""
+    if kind not in ("strong", "deletion"):
+        raise ValueError("kind must be one of ('strong', 'deletion')")
     occ = sorted(p.occurring_atoms())
     if len(occ) > max_atoms:
         raise ValueError(f"brute_min_backdoor guard: {len(occ)} atoms > {max_atoms}")
+    viol = deletion_violation(CompiledProgram(p), target) if kind == "deletion" else None
     for size in range(len(occ) + 1):
         for combo in combinations(occ, size):
-            if (reducts_in_class(p, frozenset(combo), target) if kind == "strong"
-                    else verify_backdoor(p, combo, target, kind)):
+            if (not viol(atom_mask(combo))[0] if viol
+                    else reducts_in_class(p, frozenset(combo), target)):
                 return frozenset(combo)
     raise AssertionError("occurring atoms always form a backdoor")

@@ -1,4 +1,4 @@
-"""Ground disjunctive logic programs: atoms, rules, parsing, printing, classes.
+"""Ground disjunctive logic programs: atoms, rules, parsing, printing, masks.
 
 A rule has the shape
 
@@ -9,7 +9,7 @@ distinct ids in a parsed or ProgramBuilder program, whose Rule objects
 (frozensets) are built on the first read of Program.rules, or the Rules a
 program was built from.  Atoms are interned into a per-program table in
 order of first occurrence, so ids are dense and stable under render/parse
-round trips.
+round trips.  depgraph decides membership in the target classes named here.
 """
 
 from __future__ import annotations
@@ -373,40 +373,3 @@ class CompiledProgram:
                 if not pos & (h | neg):
                     out.append((h, pos, neg))
         return out
-
-
-def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None = None) -> int:
-    """Atoms (a mask) of the first violation of class c by the core of the
-    compiled program with the atoms of x deleted, or of its truth-assignment
-    reduct by true (see CompiledProgram.core); 0 when that core is in c.
-
-    Horn: the head and negative body of the first non-Horn rule.  Acyclicity
-    classes: the head of the first non-normal rule, else the atom vertices of
-    the forbidden cycle that depgraph.cycle_witness finds: in cp's one graph
-    with x masked out (depgraph.deletion_violation; a few mask operations per
-    atom, no pass over the rules), or for a reduct in masks ORed from its
-    rules.  Every violation has an atom outside x.  Deleting a positive body
-    atom never makes a rule Horn (rules never become tautological by
-    deletion), so the Horn violation leaves out positive bodies.
-    """
-    if c is TargetClass.HORN:
-        for h, _, neg in cp.core(x, true):
-            if h & (h - 1) or neg:
-                return h | neg
-        return 0
-    if c not in ACYCLIC_CLASSES:
-        raise ValueError(f"unknown target class {c!r}")
-    from .depgraph import _dep_masks, cycle_witness, deletion_violation
-    if true is None:
-        return deletion_violation(cp, c)(x)[0]
-    rules = cp.core(x, true)
-    for h, _, _ in rules:
-        if h & (h - 1):
-            return h
-    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
-    return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
-
-
-def in_target_class(p: Program, c: TargetClass) -> bool:
-    """Membership of p in class c (always modulo tautologies/constraints)."""
-    return violation(CompiledProgram(p), c) == 0

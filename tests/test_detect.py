@@ -9,9 +9,9 @@ from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      horn_conflict_graph, in_target_class, parse_program,
                      random_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
-from aspback.depgraph import _dep_masks, cycle_witness, deletion_violation
+from aspback.depgraph import _dep_masks, cycle_witness, deletion_violation, violation
 from aspback.oracle import reducts_in_class
-from aspback.program import CompiledProgram, atom_mask, atoms_of, tautological, violation
+from aspback.program import CompiledProgram, atom_mask, atoms_of, tautological
 from conftest import corpus, names_of
 
 

@@ -1,11 +1,10 @@
 """Class membership from the definitions, as a reference for the cycle search.
 
-The deletion search and its oracle (brute_min_backdoor -> verify_backdoor ->
-violation) share one cycle search, and the strong check masks its reducts
-the same way.  Here each acyclicity class is
-decided from its definition on the rules of core(delete_atoms(p, x)) and
-of core(ta_reduct(p, tau)), with plain sets and no call into depgraph or
-violation:
+The deletion search and its oracle (brute_min_backdoor) share one
+deletion_violation closure, and the strong check masks its reducts the same
+way.  Here each acyclicity class is decided from its definition on the rules
+of core(delete_atoms(p, x)) and of core(ta_reduct(p, tau)), with plain sets
+and no call into depgraph or violation:
 
 * strat: no negative edge (x, y) with x reachable from y;
 * dc-acyc: no edge (x, y) with x reachable from y;
@@ -22,7 +21,8 @@ import random
 
 from aspback import (TargetClass, TruthAssignment, core, delete_atoms,
                      in_target_class, ta_reduct, verify_backdoor, witness_cycle)
-from aspback.program import CompiledProgram, atom_mask, violation
+from aspback.depgraph import deletion_violation, violation
+from aspback.program import CompiledProgram, atom_mask
 from conftest import check_witness
 from test_detect import CYCLE_CLASSES, GOLDEN, _golden_corpus
 
@@ -151,3 +151,21 @@ def test_golden_cycle_witnesses_are_cycles():
                 check_witness(p, c, witness_cycle(p, c))
                 count += 1
     assert count >= 500
+
+
+def test_horn_deletion_closure_matches_definition():
+    # the closure masks the rules; here the first rule of
+    # core(delete_atoms(p, x)) with two head atoms or a negative body is read
+    # off the Rules, and its head and negative body are the violation
+    rng = random.Random(21)
+    verdicts = [0, 0]
+    for i, p in enumerate(_golden_corpus()):
+        viol = deletion_violation(CompiledProgram(p), TargetClass.HORN)
+        for _ in range(5):
+            x = [a for a in range(p.n_atoms) if rng.random() < 0.25]
+            bad = next((r for r in core(delete_atoms(p, x)).rules
+                        if len(r.head) > 1 or r.neg_body), None)
+            want = 0 if bad is None else atom_mask(bad.head | bad.neg_body)
+            assert viol(atom_mask(x)) == (want, want), f"program {i}, x={x}"
+            verdicts[bad is None] += 1
+    assert min(verdicts) >= 200, verdicts

@@ -1,7 +1,9 @@
 import pytest
 
-from aspback import (TargetClass, brute_answer_sets, brute_min_backdoor,
-                     is_answer_set_direct, parse_program)
+import aspback.depgraph
+from aspback import (GenConfig, TargetClass, brute_answer_sets, brute_min_backdoor,
+                     is_answer_set_direct, parse_program, random_program)
+from aspback.program import CompiledProgram
 from conftest import names_of
 
 
@@ -88,3 +90,27 @@ def test_brute_min_backdoor_size_then_lex():
     # two singleton strong Horn backdoors {a} and {b}; lex picks the smaller id
     p = parse_program("a | b.")
     assert brute_min_backdoor(p, TargetClass.HORN, "strong") == {p.atom_id("a")}
+
+
+def test_brute_min_backdoor_deletion_compiles_once(monkeypatch):
+    # every subset is tested on one CompiledProgram and its one graph
+    calls = {"compile": 0, "dep_masks": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **kw):
+            calls[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+    monkeypatch.setattr(CompiledProgram, "__init__",
+                        counted("compile", CompiledProgram.__init__))
+    monkeypatch.setattr(aspback.depgraph, "_dep_masks",
+                        counted("dep_masks", aspback.depgraph._dep_masks))
+    p = random_program(GenConfig(10, 1.5, seed=1))
+    assert len(brute_min_backdoor(p, TargetClass.STRAT, "deletion")) == 3
+    assert calls == {"compile": 1, "dep_masks": 1}
+
+
+def test_brute_min_backdoor_rejects_unknown_kind():
+    p = parse_program("a :- not a.")
+    with pytest.raises(ValueError):
+        brute_min_backdoor(p, TargetClass.STRAT, "Strong")
