@@ -245,6 +245,8 @@ def _gen_header(kind: str, params: dict) -> str:
 
 def _cmd_gen(args) -> int:
     if args.kind == "random":
+        if args.count < 1:
+            raise ValueError("--count must be at least 1")
         seed = args.seed if args.seed is not None else _env_seed()
         texts = []
         for i in range(args.count):

@@ -1,7 +1,7 @@
 """Class membership, dependency and incidence graphs, cycle witnesses, DOT.
 
-Membership in every target class is decided here; deletion_violation's
-closure serves the deletion search and its oracle, Horn too.
+Membership in every target class is decided here by masking the rules;
+only the deletion search and its oracle build deletion_violation's closure.
 
 The directed dependency graph has an edge (x, y) whenever some rule has x in
 the head and y in the body, or x and y jointly in the head; the edge is
@@ -268,10 +268,10 @@ def _first_shortest(adj: list[int], comp: list[int], cands, undirected: bool,
 
 
 def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: bool,
-                    comp: list[int] | None = None) -> CycleWitness | None:
-    """The search of find_directed_cycle on successor masks.  comp, when
-    given, holds their components or, empty, is filled with them once the
-    search needs them."""
+                    comp: list[int]) -> CycleWitness | None:
+    """The search of find_directed_cycle on successor masks whose components
+    are comp or, when it is empty, are filled into it once the search needs
+    them."""
     def witness(cycle: list[int]) -> CycleWitness:
         verts = _rotate_min(cycle)
         bad = any(neg[a] >> b & 1 for a, b in zip(verts, verts[1:] + verts[:1]))
@@ -285,9 +285,7 @@ def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: b
             if succ[v] >> u & 1 and (neg[u] >> v | neg[v] >> u) & 1:
                 return witness([u, v])
     # edge (u, v) is closed by a path v -> u; with skip_two, not by v -> u
-    if comp is None:
-        comp = _components(succ)
-    elif not comp:
+    if not comp:
         comp += _components(succ)  # in place, for the caller
     path = _first_shortest(succ, comp, (
         (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
@@ -370,7 +368,7 @@ def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
     shortest path v -> u; the first shortest cycle in sorted edge order wins.
     """
     return _directed_cycle(d.succ, d.neg, bad_only,
-                           allow_good_two_cycles and not bad_only)
+                           allow_good_two_cycles and not bad_only, d.comp)
 
 
 def find_undirected_cycle(g: UndirectedDepGraph, *,
@@ -382,12 +380,11 @@ def find_undirected_cycle(g: UndirectedDepGraph, *,
         "undirected", _rotate_min(found[0]), found[1], g)
 
 
-def cycle_witness(succ: list[int], neg: list[int], c: TargetClass,
-                  udg: UndirectedDepGraph | None = None,
-                  comp: list[int] | None = None) -> CycleWitness | None:
+def cycle_witness(succ: list[int], neg: list[int], c: TargetClass, comp: list[int],
+                  udg: UndirectedDepGraph | None = None) -> CycleWitness | None:
     """Forbidden cycle for class c in the dependency graph of these masks,
-    whose undirected graph is udg and, for a directed class, whose
-    components are comp, each when given."""
+    whose undirected graph is udg when given; a directed class searches it
+    with the components comp, filled in place when empty."""
     if c not in ACYCLIC_CLASSES:
         raise ValueError(f"{c} is not an acyclicity-based class")
     if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC:
@@ -439,20 +436,20 @@ def core_witness(cp: CompiledProgram, c: TargetClass) -> CycleWitness | None:
     """Forbidden cycle for class c in the dependency graph of cp's core."""
     d, udg, _, _ = _deletion_graph(cp)
     directed = c is not TargetClass.C_ACYC and c is not TargetClass.BC_ACYC
-    return cycle_witness(d.succ, d.neg, c, udg, d.comp if directed else None)
+    return cycle_witness(d.succ, d.neg, c, d.comp if directed else [], udg)
 
 
 def deletion_violation(cp: CompiledProgram, c: TargetClass):
-    """x -> (violation(cp, c, x), branch), the atoms to branch on: all of the
-    violation for Horn, and for an acyclicity class c on one graph the masked
-    head of the first rule left non-tautological with two head atoms, else
-    the atoms of the forbidden cycle once the rows of x are zeroed, the rest
-    ANDed with ~x and the edges of the rules x wakes ORed in (exact, as
-    deletion keeps a non-tautological rule's other edges as they are).  If x
-    wakes none, the undirected graph is masked so, not rebuilt.  branch drops
-    the dominated atoms (_branch_atoms) of a directed cycle whose search
-    computed the components, when no rule is tautological or disjunctive, so
-    that no deletion adds an edge."""
+    """x -> (violation(cp, c, x), branch), built once per deletion search or
+    oracle query; branch holds the atoms to branch on.  Horn: violation's
+    answer, both.  An acyclicity class c, on one graph: the masked head of
+    the first rule left non-tautological with two head atoms, else the atoms
+    of the forbidden cycle once the rows of x are zeroed, the rest ANDed
+    with ~x and the edges of the rules x wakes ORed in (exact, as deletion
+    keeps a non-tautological rule's other edges as they are); if x wakes
+    none, the undirected graph is masked so, not rebuilt.  branch drops the
+    dominated atoms (_branch_atoms) of a directed cycle whose search found
+    components, where pred is built: no rule is tautological or disjunctive."""
     if c not in ACYCLIC_CLASSES:  # Horn, or an unknown class violation rejects
         return lambda x: (violation(cp, c, x),) * 2
     d, udg, taut, multi = _deletion_graph(cp)
@@ -490,10 +487,10 @@ def deletion_violation(cp: CompiledProgram, c: TargetClass):
             if h and not pos & (h | ng):  # woken, with one head atom
                 s[h.bit_length() - 1] |= pos | ng
                 g[h.bit_length() - 1] |= ng
-        comp = None if pred is None else []  # filled if the cycle search needs it
-        w = cycle_witness(s, g, c, comp=comp)
+        comp: list[int] = []  # filled if the cycle search needs it
+        w = cycle_witness(s, g, c, comp)
         v = 0 if w is None else atom_mask(v for v in w.vertices if v < n)
-        return v, _branch_atoms(s, pred, comp, w.vertices) if v and comp else v
+        return v, _branch_atoms(s, pred, comp, w.vertices) if v and pred and comp else v
     return viol
 
 
@@ -504,10 +501,9 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None 
     outside x.  Horn (deletions too): the head and negative body of the first
     non-Horn rule, as deleting a positive body atom never makes a rule Horn.
     Acyclicity: the head of the first non-normal rule, else the atom vertices
-    of the forbidden cycle in cp's one graph with x masked out
-    (deletion_violation), or for a reduct in masks ORed from its rules."""
-    if true is None and c in ACYCLIC_CLASSES:
-        return deletion_violation(cp, c)(x)[0]
+    of the forbidden cycle in the masks ORed from the masked rules.  Every
+    one-off query runs here; deletion_violation's closure, which the
+    deletion search builds, gives the same violation."""
     rules = cp.core(x, true)
     if c is TargetClass.HORN:
         for h, _, neg in rules:
@@ -519,7 +515,7 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None 
     for h, _, _ in rules:
         if h & (h - 1):
             return h
-    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
+    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c, [])
     return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
 
 

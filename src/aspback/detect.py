@@ -13,7 +13,7 @@ on all of its neighbours; a greedy matching is the lower bound.  Deletion
 detection branches on the atoms of violations, over deletion masks of the
 program compiled into rule bitmasks; one memo maps each mask to its
 violation and the atoms to branch on, from depgraph's deletion_violation
-closure, which decides membership for every target, Horn included (where no
+closure, built once per search for every target, Horn included (where no
 deletion adds an edge, a directed cycle's dominated atoms drop out).  Its
 nodes are pruned by a greedy packing of atom-disjoint violations, sound only
 until a packed violation meets an atom whose deletion can wake a
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from math import comb
 
 from .depgraph import deletion_violation, violation
 from .program import (CompiledProgram, Program, TargetClass, atom_mask,
@@ -48,7 +49,7 @@ from .program import core  # noqa: F401
 from .reducts import delete_atoms, ta_reduct  # noqa: F401
 
 STRONG_ENUM_GUARD = 30
-STRONG_ACYCLIC_K_GUARD = 12
+STRONG_ACYCLIC_SET_GUARD = 300_000  # atom sets the strong acyclic search may test
 
 KINDS = ("strong", "deletion")
 
@@ -249,8 +250,8 @@ def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
 
     Strong Horn: x covers the conflict graph.  Other strong targets: every
     truth-assignment reduct lands in the class (guarded at 30 relevant
-    atoms).  Deletion: the program with x erased lands in the class.  Atoms
-    of x that do not occur in p are vacuous.
+    atoms).  Deletion: the rules with x erased, masked once, land in the
+    class.  Atoms of x that do not occur in p are vacuous.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -367,14 +368,14 @@ def _deletion_search(p: Program, target: TargetClass,
 
 def _strong_acyclic_search(p: Program, target: TargetClass,
                            k: int | None) -> tuple[frozenset[int] | None, int]:
-    if k is not None and k > STRONG_ACYCLIC_K_GUARD:
-        raise ValueError(
-            f"k={k} exceeds the strong acyclic search guard ({STRONG_ACYCLIC_K_GUARD})")
     cp = CompiledProgram(p)
     occ = atoms_of(cp.occurring)
     limit = len(occ) if k is None else min(k, len(occ))
     nodes = 0
     for size in range(limit + 1):
+        if nodes + comb(len(occ), size) > STRONG_ACYCLIC_SET_GUARD:
+            raise ValueError(f"strong {target.value} search would test over {STRONG_ACYCLIC_SET_GUARD}"
+                             f" atom sets to reach size {size}; a --kind deletion backdoor is strong too")
         for combo in combinations(occ, size):
             nodes += 1
             if _reducts_in_class(cp, atom_mask(combo), target):
@@ -386,10 +387,10 @@ def find_backdoor(p: Program, query: BackdoorQuery) -> BackdoorResult:
     """Smallest backdoor within the bound; exact for every supported target.
 
     Horn strong: minimum vertex cover of the conflict graph.  Deletion (any
-    target): violation-hitting branch and bound.  Strong acyclicity targets:
-    bounded exhaustive search (desk scale).  Without tautological rules,
-    which deletion could wake, the deletion Horn backdoors are the covers
-    of the conflict graph too, so Horn deletion takes the cover search.
+    target): violation-hitting branch and bound.  Strong acyclicity: search
+    by size, refused past STRONG_ACYCLIC_SET_GUARD sets.  Without tautological
+    rules, which deletion could wake, the deletion Horn backdoors are the
+    covers of the conflict graph too, so Horn deletion takes the cover search.
     """
     if query.target is TargetClass.HORN and (
             query.kind == "strong"

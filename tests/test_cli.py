@@ -393,6 +393,27 @@ def test_gen_random_count_out_dir(capsys, tmp_path):
     assert code2 == 2 and "--out-dir" in err
 
 
+def test_gen_random_rejects_count_below_one(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "random", "-n", "5", "--density", "1", "--count", "0")
+    assert code == 2 and not out and "--count must be at least 1" in err
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, "gen", "random", "-n", "5", "--density", "1",
+                         "--count", "-3", "--out-dir", str(out_dir))
+    assert code == 2 and not out and "--count must be at least 1" in err
+    assert not out_dir.exists()
+
+
+def test_backdoor_strong_acyclic_set_bound_exit(capsys, ex1_file, monkeypatch):
+    # a strong acyclic search past its bound on the sets it tests exits 2
+    # and points to the deletion search, whose witness is a strong backdoor
+    import aspback.detect
+    monkeypatch.setattr(aspback.detect, "STRONG_ACYCLIC_SET_GUARD", 6)
+    code, out, err = run(capsys, "backdoor", ex1_file, "--target", "strat")
+    assert code == 2 and not out and "--kind deletion" in err
+    code, out, _ = run(capsys, "backdoor", ex1_file, "--target", "strat", "--kind", "deletion")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("density", ["inf", "nan"])
 def test_gen_random_rejects_non_finite_density(capsys, density):
     # exit 1 means "inconsistent", so a bad argument must not escape as a crash

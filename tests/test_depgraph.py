@@ -91,6 +91,13 @@ def test_directed_self_loop():
     assert w.vertices == (0,)
 
 
+def test_undirected_positive_loop_is_good():
+    # graphs see all rules, so a tautological a :- a. leaves a positive loop
+    w = find_undirected_cycle(build_udg(parse_program("a :- a.")))
+    assert (w.kind, w.vertices, w.bad) == ("undirected", (0,), False)
+    assert find_undirected_cycle(build_udg(parse_program("a :- a.")), bad_only=True) is None
+
+
 def test_witness_cycle_applies_core():
     # the only cycle comes from a tautological rule: classes ignore it
     p = parse_program("a :- a, b.")

@@ -7,9 +7,9 @@ import pytest
 from aspback import (BackdoorQuery, ConflictGraph, GenConfig, ProgramBuilder,
                      TargetClass, brute_min_backdoor, child_seed, find_backdoor,
                      horn_conflict_graph, in_target_class, parse_program,
-                     random_program, vertex_cover_min,
+                     random_program, render_program, vertex_cover_min,
                      verify_backdoor, witness_cycle)
-from aspback.depgraph import _dep_masks, cycle_witness, deletion_violation, violation
+from aspback.depgraph import deletion_violation, violation
 from aspback.oracle import reducts_in_class
 from aspback.program import CompiledProgram, atom_mask, atoms_of, tautological
 from conftest import corpus, names_of
@@ -118,6 +118,42 @@ def test_verify_backdoor_validation(ex1):
         verify_backdoor(ex1, {99}, TargetClass.HORN, "strong")
     with pytest.raises(ValueError):
         verify_backdoor(ex1, {0}, TargetClass.HORN, "shrink")
+    # over 30 occurring atoms a strong check is refused before it enumerates
+    # 2^31 reducts, although x is a backdoor
+    p = parse_program("".join(f"a{i} :- not b{i}.\n" for i in range(31)))
+    with pytest.raises(ValueError, match="too large"):
+        verify_backdoor(p, [p.atom_id(f"b{i}") for i in range(31)], TargetClass.STRAT, "strong")
+
+
+def test_violation_rejects_unknown_class():
+    cp = CompiledProgram(parse_program("a :- not b."))
+    for check in (lambda: violation(cp, "weak"), lambda: deletion_violation(cp, "weak")(0)):
+        with pytest.raises(ValueError, match="unknown target class"):
+            check()
+
+
+def test_one_off_membership_never_builds_the_deletion_closure(monkeypatch, tmp_path, capsys):
+    # in_target_class, verify_backdoor(..., "deletion") and classify mask the
+    # rules; only the deletion search and its oracle build the closure
+    import aspback.depgraph
+    from aspback.cli import main
+    programs = _golden_corpus()[:40]
+    want = [[in_target_class(p, c) for c in TargetClass] for p in programs]
+    xs = [sorted(p.occurring_atoms())[:2] for p in programs]
+    ok = [[verify_backdoor(p, x, c, "deletion") for c in TargetClass] for p, x in zip(programs, xs)]
+    f = tmp_path / "p.lp"
+    f.write_text(render_program(programs[0]))
+    assert main(["classify", str(f)]) == 0
+    classified = capsys.readouterr().out
+
+    def refuse(*_):
+        raise AssertionError("deletion_violation built for a one-off query")
+    monkeypatch.setattr(aspback.depgraph, "deletion_violation", refuse)
+    assert [[in_target_class(p, c) for c in TargetClass] for p in programs] == want
+    assert [[verify_backdoor(p, x, c, "deletion") for c in TargetClass]
+            for p, x in zip(programs, xs)] == ok
+    assert main(["classify", str(f)]) == 0 and capsys.readouterr().out == classified
+    assert any(not all(row) for row in want) and any(any(row) for row in want)
 
 
 def test_strong_horn_cover_check_matches_reducts():
@@ -255,6 +291,29 @@ def test_deletion_search_deep_witness_iterative():
     finally:
         sys.setrecursionlimit(old)
     assert r.witness == frozenset(range(1100)) and r.nodes_explored == 1101
+
+
+def test_vertex_cover_rejects_negative_bound():
+    with pytest.raises(ValueError, match="nonnegative"):
+        vertex_cover_min(ConflictGraph((0b10, 0b01)), -1)
+
+
+def test_strong_acyclic_search_set_bound(monkeypatch):
+    # five occurring atoms and a size-2 witness: levels 0-1 test 6 sets and
+    # level 2 would take up to 10 more, so a bound of 15 refuses before
+    # level 2 and 16 lets the search find {a, b} as the 7th set; only the
+    # sets bound k, so k = 13 runs as k = None does
+    import aspback.detect
+    p = parse_program("a :- not a.  b :- not b.  c.  d.  e.")
+    q = BackdoorQuery(TargetClass.STRAT, "strong")
+    monkeypatch.setattr(aspback.detect, "STRONG_ACYCLIC_SET_GUARD", 15)
+    with pytest.raises(ValueError, match="--kind deletion"):
+        find_backdoor(p, q)
+    assert find_backdoor(p, BackdoorQuery(TargetClass.STRAT, "strong", 1)).witness is None
+    monkeypatch.setattr(aspback.detect, "STRONG_ACYCLIC_SET_GUARD", 16)
+    for k in (None, 13):
+        r = find_backdoor(p, BackdoorQuery(TargetClass.STRAT, "strong", k))
+        assert (names_of(p, r.witness), r.nodes_explored) == ({"a", "b"}, 7)
 
 
 def test_vertex_cover_deep_inputs_iterative():
@@ -464,27 +523,17 @@ def test_deletion_search_and_witnesses_match_golden_table():
             assert in_target_class(p, c) == (w is None), f"program {i}, {c}"
 
 
-def _rule_masking_violation(cp, c, x):
-    """violation(cp, c, x) by its definition: the masked head of the first
-    non-normal rule of cp.core(x), else the atom vertices of the forbidden
-    cycle in the masks ORed from the rules of cp.core(x)."""
-    rules = cp.core(x)
-    for h, _, _ in rules:
-        if h & (h - 1):
-            return h
-    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c)
-    return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
-
-
 def test_deletion_violation_matches_rule_masking():
     # 20 deletion masks per program: up to ten that delete an atom of
     # pos & (h | neg) of a tautological rule or all but one atom of a
     # disjunctive head (or nothing), the rest random sets joined to one of
-    # them; one CompiledProgram per program, so its one graph serves all
+    # them; one closure per program and class, so its one graph serves all,
+    # against violation, which masks the rules of cp.core(x)
     rng = random.Random(2018)
     woken = one_left = checked = 0
     for i, p in enumerate(_golden_corpus() + _strong_corpus()):
         cp = CompiledProgram(p)
+        closures = {c: deletion_violation(cp, c) for c in CYCLE_CLASSES}
         occ = atoms_of(cp.occurring)
         masks = [0]
         for h, pos, neg in cp.rules:
@@ -502,7 +551,7 @@ def test_deletion_violation_matches_rule_masking():
                             for h, pos, neg in cp.rules)
             for c in CYCLE_CLASSES:
                 checked += 1
-                assert violation(cp, c, x) == _rule_masking_violation(cp, c, x), \
+                assert closures[c](x)[0] == violation(cp, c, x), \
                     f"program {i}, x={atoms_of(x)}, {c}"
     assert woken >= 1000 and one_left >= 2000 and checked == 44000
 

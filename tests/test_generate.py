@@ -99,6 +99,10 @@ def test_parse_hitting_set():
         parse_hitting_set("1 2\n")  # missing k line
     with pytest.raises(ValueError):
         parse_hitting_set("k = -1\n1 2\n")
+    with pytest.raises(ValueError, match="bad k line"):
+        parse_hitting_set("k = two\n1 2\n")
+    with pytest.raises(ValueError, match="at least one set"):
+        parse_hitting_set("k = 1\n% no sets\n")
 
 
 def test_encoding_shape():

@@ -260,6 +260,13 @@ def test_occurring_atoms(ex1):
     assert p.occurring_atoms() == frozenset({0})
 
 
+def test_program_rejects_bad_atom_table():
+    with pytest.raises(ValueError, match="duplicate atom name"):
+        Program(["a", "a"], [])
+    with pytest.raises(ValueError, match="unknown atom id 1"):
+        Program(["a"], [Rule(frozenset({1}), frozenset(), frozenset())])
+
+
 def test_atom_lookup_errors(ex1):
     with pytest.raises(KeyError):
         ex1.atom_id("nope")
