@@ -12,10 +12,11 @@ positive edges collapse to one undirected edge).  Each graph holds per-atom
 int masks, built straight from rule bitmasks, and its edge sets are views
 built when read.  Every cycle search runs on masks, one per vertex; one
 Tarjan pass per graph gives the components (strongly connected, or
-2-edge-connected when undirected), a component with as many edges as
-vertices is one simple cycle of known length, and in any other a mask
-breadth-first search measures a candidate's distance, bounded by the best
-cycle so far.  Only the winner's FIFO path is rebuilt.
+2-edge-connected when undirected; c-acyc's positive cycles are searched on
+the positive edges as a graph of their own), a component with as many
+edges as vertices is one simple cycle of known length, and in any other a
+mask breadth-first search measures a candidate's distance, bounded by the
+best cycle so far.  Only the winner's FIFO path is rebuilt.
 """
 
 from __future__ import annotations
@@ -236,12 +237,14 @@ def _fifo_path(adj: list[int], src: int, dst: int, skip: int,
         queue += atoms_of(new)
 
 
-def _first_shortest(adj: list[int], comp: list[int], cands, undirected: bool,
-                    floor: int) -> list[int] | None:
+def _first_shortest(adj: list[int], comp: list[int], cands, degree: int,
+                    extra: int, floor: int) -> list[int] | None:
     """The path src -> dst of the first candidate (src, dst, skip) whose cycle
-    (one vertex more than the path has edges, two when undirected) is shorter
-    than those before it and has at least floor vertices; or None."""
-    extra = 1 + undirected
+    is shorter than those before it and has at least floor vertices; or None.
+    The cycle has extra vertices more than the path has edges: 1 when an edge
+    dst -> src closes it, 2 when a negative vertex does.  A component where
+    every vertex has degree neighbours (1 directed, 2 undirected) is one
+    simple cycle."""
     length, best, settled, tangled = len(adj) + extra, None, 0, 0
     for src, dst, skip in cands:
         cm = comp[src]
@@ -252,7 +255,7 @@ def _first_shortest(adj: list[int], comp: list[int], cands, undirected: bool,
         if not cm & tangled:
             # least degree everywhere: as many edges as vertices, so cm is
             # one simple cycle, the one every candidate in it closes
-            if all((adj[w] & cm).bit_count() == extra for w in atoms_of(cm)):
+            if all((adj[w] & cm).bit_count() == degree for w in atoms_of(cm)):
                 settled |= cm
                 if length > cm.bit_count() >= floor:
                     length, best = cm.bit_count(), (src, dst, skip, cm)
@@ -289,7 +292,7 @@ def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: b
         comp += _components(succ)  # in place, for the caller
     path = _first_shortest(succ, comp, (
         (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
-        for v in atoms_of(m & comp[u])), False, 3 if skip_two else 2)
+        for v in atoms_of(m & comp[u])), 1, 1, 3 if skip_two else 2)
     return None if path is None else witness(path[-1:] + path[:-1])
 
 
@@ -305,7 +308,7 @@ def _bad_cycle(n: int, neg_edges, pos: list[int]) -> list[int] | None:
             adj[x] |= 1 << n + i
             adj[y] |= 1 << n + i
         path = _first_shortest(adj, _components(adj, undirected=True), (
-            (x, y, 1 << n + i) for i, (x, y) in enumerate(neg_edges)), True, 3)
+            (x, y, 1 << n + i) for i, (x, y) in enumerate(neg_edges)), 2, 2, 3)
         if path is not None:  # negative edges are distinct
             best = [n + neg_edges.index((path[0], path[-1]))] + path
     return best
@@ -314,50 +317,18 @@ def _bad_cycle(n: int, neg_edges, pos: list[int]) -> list[int] | None:
 def _undirected_cycle(pos: list[int], bad_only: bool,
                       best: list[int] | None) -> tuple[list[int], bool] | None:
     """The search of find_undirected_cycle, given its bad cycle best:
-    (cycle, bad) or None."""
+    (cycle, bad) or None.  Positive edge (u, v), u < v, is closed by a path
+    v -> u that does not take it."""
     if not bad_only:
         for u in (u for u, m in enumerate(pos) if m >> u & 1):
             return [u], False  # positive loop (non-core input)
-        cycle = _positive_cycle([m & ~(1 << u) for u, m in enumerate(pos)])
+        comp = _components(pos, undirected=True)
+        cycle = _first_shortest(pos, comp, (
+            (v, u, 1 << u) for u, m in enumerate(pos) if m & comp[u]
+            for v in atoms_of(m >> u << u & comp[u])), 2, 1, 3)
         if cycle is not None and (best is None or len(cycle) < len(best)):
             return cycle, False
     return (best, True) if best is not None else None
-
-
-def _positive_cycle(adj: list[int]) -> list[int] | None:
-    """Shortest cycle found by FIFO breadth-first search from each vertex in
-    turn, closed by the first non-tree edge: the lowest seen neighbour, not
-    the parent, of the first vertex u with one.  A search finding none has
-    walked a tree, where no other search finds one."""
-    best: list[int] | None = None
-    trees = 0
-    for s, m in enumerate(adj):
-        if best is not None and len(best) == 3:
-            break
-        if not m or trees >> s & 1:
-            continue
-        parent, seen, queue = {s: s}, 1 << s, [s]
-        for u in queue:
-            closing = adj[u] & seen & ~(1 << parent[u])
-            if closing:
-                left, right = [u], [(closing & -closing).bit_length() - 1]
-                for path in (left, right):
-                    while parent[path[-1]] != path[-1]:
-                        path.append(parent[path[-1]])
-                k = next(i for i, a in enumerate(right) if a in left)
-                found = left[:left.index(right[k]) + 1][::-1] + right[:k]
-                if best is None or len(found) < len(best):
-                    best = found
-                break
-            new = adj[u] & ~seen
-            seen |= new
-            while new:
-                parent[w := (new & -new).bit_length() - 1] = u
-                queue.append(w)
-                new &= new - 1
-        else:
-            trees |= seen
-    return best
 
 
 def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
@@ -373,8 +344,13 @@ def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
 
 def find_undirected_cycle(g: UndirectedDepGraph, *,
                           bad_only: bool = False) -> CycleWitness | None:
-    """Shortest-found forbidden undirected cycle, or None; bad iff it passes
-    a negative vertex, as every cycle of the per-negative-vertex search does."""
+    """Shortest forbidden undirected cycle, or None; bad iff it passes a
+    negative vertex, as every cycle of the per-negative-vertex search does.
+    A positive loop comes first; a positive cycle wins only when strictly
+    shorter than every bad one.  Among cycles of one kind and length the
+    first in sorted order of the edge that closes it wins: positive edge
+    (u, v), u < v, closed by a shortest path v -> u, or negative vertex
+    n_atoms+i by one between its ends."""
     found = _undirected_cycle(g.pos, bad_only, g.bad_cycle)
     return None if found is None else CycleWitness(
         "undirected", _rotate_min(found[0]), found[1], g)

@@ -48,8 +48,7 @@ from .depgraph import in_target_class, witness_cycle  # noqa: F401
 from .program import core  # noqa: F401
 from .reducts import delete_atoms, ta_reduct  # noqa: F401
 
-STRONG_ENUM_GUARD = 30
-STRONG_ACYCLIC_SET_GUARD = 300_000  # atom sets the strong acyclic search may test
+STRONG_ACYCLIC_SET_GUARD = 300_000  # atom sets (search) or reducts (check) to test
 
 KINDS = ("strong", "deletion")
 
@@ -249,9 +248,10 @@ def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
     """Does x work as a backdoor of the given kind into the target class?
 
     Strong Horn: x covers the conflict graph.  Other strong targets: every
-    truth-assignment reduct lands in the class (guarded at 30 relevant
-    atoms).  Deletion: the rules with x erased, masked once, land in the
-    class.  Atoms of x that do not occur in p are vacuous.
+    truth-assignment reduct lands in the class (refused past
+    STRONG_ACYCLIC_SET_GUARD reducts).  Deletion: the rules with x erased,
+    masked once, land in the class.  Atoms of x that do not occur in p are
+    vacuous.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -262,8 +262,9 @@ def verify_backdoor(p: Program, x, target: TargetClass, kind: str) -> bool:
     if kind == "deletion":
         return not violation(cp, target, atom_mask(xx))
     xmask = atom_mask(xx) & cp.occurring
-    if xmask.bit_count() > STRONG_ENUM_GUARD:
-        raise ValueError(f"backdoor too large for strong check (> {STRONG_ENUM_GUARD})")
+    if 1 << xmask.bit_count() > STRONG_ACYCLIC_SET_GUARD:
+        raise ValueError(f"backdoor too large for strong check"
+                         f" (> {STRONG_ACYCLIC_SET_GUARD} reducts)")
     return _reducts_in_class(cp, xmask, target)
 
 

@@ -112,7 +112,8 @@ def test_classify_builds_one_graph(capsys, tmp_path, monkeypatch):
 
 def test_classify_runs_tarjan_once_per_graph(capsys, tmp_path, monkeypatch):
     # dc-acyc, dc2-acyc and strat share the components of the dependency
-    # graph, c-acyc and bc-acyc those of its undirected graph
+    # graph, c-acyc and bc-acyc those of its undirected graph; c-acyc alone
+    # reads a third graph, the positive edges of the undirected one
     import aspback.depgraph as dg
     calls = []
     monkeypatch.setattr(dg, "_components", lambda adj, undirected=False, fn=dg._components:
@@ -123,7 +124,7 @@ def test_classify_runs_tarjan_once_per_graph(capsys, tmp_path, monkeypatch):
         f.write_text(text)
         calls.clear()
         code, out, _ = run(capsys, "classify", str(f))
-        assert code == 0 and out.count(": no (") == 5 and sorted(calls) == [False, True]
+        assert code == 0 and out.count(": no (") == 5 and sorted(calls) == [False, True, True]
 
 
 def test_graph_kinds(capsys, ex1_file):

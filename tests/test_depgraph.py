@@ -1,9 +1,13 @@
+import time
+from collections import Counter
+
 import pytest
 
-from aspback import (TargetClass, build_ddg, build_udg, core, describe_witness,
-                     dot_ddg, dot_incidence, dot_udg, find_directed_cycle,
-                     find_undirected_cycle, incidence_graph, parse_program,
-                     witness_cycle)
+from aspback import (BackdoorQuery, GenConfig, TargetClass, build_ddg, build_udg,
+                     child_seed, core, describe_witness, dot_ddg, dot_incidence,
+                     dot_udg, find_backdoor, find_directed_cycle,
+                     find_undirected_cycle, in_target_class, incidence_graph,
+                     parse_program, random_program, witness_cycle)
 from test_detect import _golden_corpus, _strong_corpus
 
 
@@ -246,3 +250,80 @@ def test_ddg_masks_match_definition():
             assert w == witness_cycle(p, c), f"program {i}, {c}"
             found += w is not None
     assert found >= 900
+
+
+def _distance_without(edges, j):
+    """Edges of a shortest path between the ends of edges[j] that does not
+    take that edge, in the undirected multigraph edges (pairs), or None."""
+    a, b = edges[j]
+    adj = {}
+    for k, (u, v) in enumerate(edges):
+        if k != j:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    dist, todo = {a: 0}, [a]
+    for u in todo:
+        for w in adj.get(u, ()):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                todo.append(w)
+    return dist.get(b)
+
+
+def _reference_lengths(g):
+    """Lengths of a shortest positive cycle and of a shortest cycle through a
+    negative vertex of g, by plain sets (None where there is none): a cycle
+    through an edge is the edge and a path between its ends without it, a
+    positive loop is a 1-cycle, a subdivided negative self-loop a 2-cycle."""
+    n, pos = g.n_atoms, sorted(g.pos_pairs)
+    # every cycle through negative vertex n + i takes its edge (x, n + i)
+    into = [(x, n + i) for i, (x, _) in enumerate(g.neg_edges)]
+    edges = pos + into + [(n + i, y) for i, (_, y) in enumerate(g.neg_edges)]
+
+    def shortest(es, through):
+        return min((d + 1 for j in through if (d := _distance_without(es, j)) is not None),
+                   default=None)
+    return shortest(pos, range(len(pos))), shortest(edges, range(len(pos), len(pos + into)))
+
+
+def test_undirected_cycles_match_shortest_cycle_reference():
+    # find_undirected_cycle is exact: the shortest cycle (a bad one on a tie,
+    # as a positive cycle must be strictly shorter) and, with bad_only, the
+    # shortest bad one; its vertices form a simple cycle on g's edges
+    programs = [random_program(GenConfig(5 + i % 26, (0.7, 1.2, 1.8, 2.5)[i % 4],
+                                         neg_prob=(0.1, 0.3, 0.5)[i % 3],
+                                         seed=child_seed(23, i))) for i in range(320)]
+    won = Counter()
+    for i, p in enumerate(programs + _golden_corpus()):
+        g = build_udg(p)
+        good, bad = _reference_lengths(g)
+        plain = (good, False) if good is not None and (bad is None or good < bad) else \
+            None if bad is None else (bad, True)
+        edges = Counter(frozenset((u, v)) for u, v in g.pos_pairs)
+        edges.update(frozenset(e) for j, (x, y) in enumerate(g.neg_edges)
+                     for e in ((x, g.n_atoms + j), (g.n_atoms + j, y)))
+        for bad_only, want in ((False, plain), (True, None if bad is None else (bad, True))):
+            w = find_undirected_cycle(g, bad_only=bad_only)
+            assert (w and (len(w.vertices), w.bad)) == want, f"program {i}, {bad_only}"
+            if w is None:
+                continue
+            verts = w.vertices
+            steps = Counter(frozenset(e) for e in zip(verts, verts[1:] + verts[:1]))
+            assert len(set(verts)) == len(verts) and steps <= edges, f"program {i}"
+            assert w.bad == any(v >= g.n_atoms for v in verts)
+            won[w.bad, bad_only] += 1
+    assert min(won.values()) >= 100, won
+
+
+def test_long_positive_cycle_settled_at_once():
+    # a 3000-atom positive ring with a tail: its 2-edge-connected component
+    # has degree two everywhere, so no breadth-first search runs per edge
+    k = 3000
+    p = parse_program("".join(f"a{j} :- a{(j + 1) % k}.\n" for j in range(k)) + "b :- a0.\n")
+    t0 = time.perf_counter()
+    w = witness_cycle(p, TargetClass.C_ACYC)
+    assert len(w.vertices) == k and not w.bad
+    assert in_target_class(p, TargetClass.BC_ACYC)
+    r = find_backdoor(p, BackdoorQuery(TargetClass.C_ACYC, "deletion"))
+    assert r.witness == {p.atom_id("a0")}
+    assert time.perf_counter() - t0 < 5.0

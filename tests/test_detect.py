@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -118,11 +119,38 @@ def test_verify_backdoor_validation(ex1):
         verify_backdoor(ex1, {99}, TargetClass.HORN, "strong")
     with pytest.raises(ValueError):
         verify_backdoor(ex1, {0}, TargetClass.HORN, "shrink")
-    # over 30 occurring atoms a strong check is refused before it enumerates
-    # 2^31 reducts, although x is a backdoor
+    # past STRONG_ACYCLIC_SET_GUARD reducts a strong check is refused before
+    # it enumerates them, although x is a backdoor
     p = parse_program("".join(f"a{i} :- not b{i}.\n" for i in range(31)))
     with pytest.raises(ValueError, match="too large"):
         verify_backdoor(p, [p.atom_id(f"b{i}") for i in range(31)], TargetClass.STRAT, "strong")
+
+
+def test_strong_check_refused_at_once():
+    # 2^30 reducts, every one in the class: a bound of 30 atoms let the check
+    # walk them all
+    p = parse_program("".join(f"a{i} :- not b{i}.\n" for i in range(31)))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        verify_backdoor(p, [p.atom_id(f"b{i}") for i in range(30)], TargetClass.STRAT, "strong")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_strong_check_reduct_bound(monkeypatch):
+    # three occurring atoms of x (z does not occur) give 8 reducts: a bound
+    # of 7 refuses the check and 8 runs it
+    import aspback.detect
+    b = ProgramBuilder()
+    for i in range(3):
+        b.add_rule([f"a{i}"], [], [f"b{i}"])
+    b.intern("z")
+    p = b.build()
+    x = [p.atom_id(name) for name in ("b0", "b1", "b2", "z")]
+    monkeypatch.setattr(aspback.detect, "STRONG_ACYCLIC_SET_GUARD", 7)
+    with pytest.raises(ValueError, match="> 7 reducts"):
+        verify_backdoor(p, x, TargetClass.STRAT, "strong")
+    monkeypatch.setattr(aspback.detect, "STRONG_ACYCLIC_SET_GUARD", 8)
+    assert verify_backdoor(p, x, TargetClass.STRAT, "strong")
 
 
 def test_violation_rejects_unknown_class():
@@ -596,7 +624,10 @@ def test_bounded_deletion_queries_match_golden_witnesses():
 # node counts when it was split into a size pass and a lexicographic pass,
 # except the horn counts of programs without tautologies, recorded when those
 # queries moved to the vertex-cover search and lowered where the kernel began
-# to keep the lower end of an isolated edge (programs 144, 161, 197: 2 -> 1).
+# to keep the lower end of an isolated edge (programs 144, 161, 197: 2 -> 1),
+# and the c-acyc witnesses (ties among good cycles) and c-acyc node counts of
+# programs 83, 86, 138 and 176, recorded when positive cycles moved to the
+# shared shortest-cycle search.
 GOLDEN = (
     ((((2, 3, 4, 8), 99), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20), ((2, 8), 20),
       ((2, 8), 20)),
@@ -836,15 +867,15 @@ GOLDEN = (
     ((((), 1), ((), 1), ((), 1), ((0,), 3), ((), 1), ((), 1)),
      (None, None, ("d", (0, 1), False), None, None)),
     ((((0,), 3), ((0,), 5), ((0,), 5), ((), 1), ((), 1), ((), 1)),
-     (("u", (0, 6, 1, 2), False), ("u", (0, 2, 1, 3, 8), True), None, None, None)),
+     (("u", (0, 2, 1, 6), False), ("u", (0, 2, 1, 3, 8), True), None, None, None)),
     ((((0,), 3), ((), 1), ((), 1), ((), 1), ((), 1), ((), 1)),
      (None, None, None, None, None)),
     ((((0, 1, 2, 3, 5, 8), 54), ((1, 2, 4, 8), 32), ((1, 2, 4, 8), 34), ((1, 2, 8), 20),
       ((1, 2, 8), 20), ((1, 2, 8), 20)),
      (("u", (8, 24), True), ("u", (8, 24), True), ("d", (8,), True), ("d", (8,), True),
       ("d", (8,), True))),
-    ((((3,), 6), ((2,), 6), ((), 1), ((2,), 5), ((2,), 9), ((), 1)),
-     (("u", (2, 4, 5), False), None, ("d", (2, 4), False), ("d", (1, 4, 2), False),
+    ((((3,), 6), ((2,), 13), ((), 1), ((2,), 5), ((2,), 9), ((), 1)),
+     (("u", (1, 2, 4), False), None, ("d", (2, 4), False), ("d", (1, 4, 2), False),
       None)),
     ((((0,), 3), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2), ((0,), 2)),
      (("u", (0, 3), True), ("u", (0, 3), True), ("d", (0,), True), ("d", (0,), True),
@@ -977,7 +1008,7 @@ GOLDEN = (
     ((((0, 2), 7), ((2,), 6), ((2,), 6), ((), 1), ((), 1), ((), 1)),
      (("u", (2, 11, 5, 3, 8), True), ("u", (2, 11, 5, 3, 8), True), None, None, None)),
     ((((), 1), ((0,), 5), ((), 1), ((), 1), ((), 1), ((), 1)),
-     (("u", (0, 3, 1, 2), False), None, None, None, None)),
+     (("u", (0, 2, 1, 3), False), None, None, None, None)),
     ((((0,), 3), ((0,), 4), ((0,), 4), ((), 1), ((), 1), ((), 1)),
      (("u", (0, 7, 1, 4, 8), True), ("u", (0, 7, 1, 4, 8), True), None, None, None)),
     ((((0, 1, 3, 4, 5), 34), ((1, 2, 3, 4), 13), ((1, 2, 3, 4), 13), ((1, 3, 4), 8),
@@ -1085,7 +1116,7 @@ GOLDEN = (
     ((((0, 3), 7), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5), ((3,), 5)),
      (("u", (3, 8), True), ("u", (3, 8), True), ("d", (3,), True), ("d", (3,), True),
       ("d", (3,), True))),
-    ((((4, 9), 23), ((2, 6, 9), 86), ((4, 9), 46), ((0, 2, 3), 12), ((0, 2), 8),
+    ((((4, 9), 23), ((2, 6, 9), 91), ((4, 9), 46), ((0, 2, 3), 12), ((0, 2), 8),
       ((2,), 8)),
      (("u", (0, 1, 6), False), ("u", (2, 4, 10, 6), True), ("d", (2, 3), False),
       ("d", (0, 1, 9), False), ("d", (2, 3, 7, 9, 5), True))),
