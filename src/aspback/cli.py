@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .detect import BackdoorQuery, find_backdoor
-from .depgraph import (core_witness, describe_witness, dot_ddg,
+from .depgraph import (core_graph, cycle_witness, describe_witness, dot_ddg,
                        dot_incidence, dot_udg, violation)
 from .evaluate import REASON_MODES, answer_sets, mode_result
 from .generate import (GenConfig, HITTING_VARIANTS, child_seed,
@@ -126,13 +126,14 @@ def _cmd_parse(args) -> int:
 def _cmd_classify(args) -> int:
     p = _load(args.file)
     cp = CompiledProgram(p)
+    d = core_graph(cp)
     rows = []
     for c in TargetClass:
         why = ""
         if c in ACYCLIC_CLASSES:
             # the head atoms of a non-normal rule form a bad two-cycle, so
             # the one witness decides membership
-            w = core_witness(cp, c)
+            w = cycle_witness(d, c)
             member = w is None
             if w is not None:
                 why = f"{'bad ' if w.bad else ''}{w.kind} cycle {describe_witness(p, w)}"
@@ -153,7 +154,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_graph(args) -> int:
     dot = {"ddg": dot_ddg, "udg": dot_udg, "incidence": dot_incidence}[args.which]
-    print(dot(_load(args.file)))
+    sys.stdout.write(dot(_load(args.file)))
     return EXIT_OK
 
 

@@ -6,17 +6,19 @@ only the deletion search and its oracle build deletion_violation's closure.
 The directed dependency graph has an edge (x, y) whenever some rule has x in
 the head and y in the body, or x and y jointly in the head; the edge is
 negative when some justifying occurrence has y in the negative body or comes
-from a shared head.  The undirected variant subdivides every negative edge
-with a fresh "negative vertex" and forgets orientation (mutually directed
-positive edges collapse to one undirected edge).  Each graph holds per-atom
-int masks, built straight from rule bitmasks, and its edge sets are views
-built when read.  Every cycle search runs on masks, one per vertex; one
-Tarjan pass per graph gives the components (strongly connected, or
-2-edge-connected when undirected; c-acyc's positive cycles are searched on
-the positive edges as a graph of their own), a component with as many
-edges as vertices is one simple cycle of known length, and in any other a
-mask breadth-first search measures a candidate's distance, bounded by the
-best cycle so far.  Only the winner's FIFO path is rebuilt.
+from a shared head.  The undirected variant (DependencyDigraph.udg)
+subdivides every negative edge with a fresh "negative vertex" and forgets
+orientation (mutually directed positive edges collapse to one undirected
+edge).  Each graph holds per-atom int masks, built straight from rule
+bitmasks, and its edge sets are views built when read.  Every cycle search
+runs on masks, one per vertex; one Tarjan pass per graph, on first read,
+gives the components (strongly connected, or 2-edge-connected when
+undirected; c-acyc's positive cycles are searched on the positive edges as
+a graph of their own), a component with as many edges as vertices is one
+simple cycle of known length, and in any other a mask breadth-first search
+measures a candidate's distance, bounded by the best cycle so far.  Only
+the winner's FIFO path is rebuilt.  classify and each deletion search build
+core_graph, the graph of the rules that are not tautological, once.
 """
 
 from __future__ import annotations
@@ -45,15 +47,26 @@ class CycleWitness:
 
 class DependencyDigraph:
     """Directed dependency graph over the atom table of a program: succ[u]
-    masks the successors of atom u, neg[u] those over a negative edge."""
+    masks the successors of atom u, neg[u] those over a negative edge.  Its
+    components and undirected graph are built on first read, into plain
+    attributes, as a cached_property takes a lock on each first read."""
 
     def __init__(self, succ: list[int], neg: list[int]):
         self.succ = succ
         self.neg = neg
+        self._comp = self._udg = None
 
-    @cached_property
-    def comp(self) -> list[int]:  # shared by every search on this graph
-        return _components(self.succ)
+    @property
+    def comp(self) -> list[int]:
+        if self._comp is None:
+            self._comp = _components(self.succ)
+        return self._comp
+
+    @property
+    def udg(self) -> UndirectedDepGraph:
+        if self._udg is None:
+            self._udg = _udg(self.succ, self.neg)
+        return self._udg
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -138,7 +151,13 @@ def build_ddg(p: Program) -> DependencyDigraph:
 
 
 def build_udg(p: Program) -> UndirectedDepGraph:
-    return _udg(*_dep_masks(p.n_atoms, CompiledProgram(p).rules))
+    return build_ddg(p).udg
+
+
+def core_graph(cp: CompiledProgram) -> DependencyDigraph:
+    """Dependency graph of the rules of cp that are not tautological."""
+    return DependencyDigraph(*_dep_masks(cp.n_atoms, [
+        r for r in cp.rules if not r[1] & (r[0] | r[2])]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +289,12 @@ def _first_shortest(adj: list[int], comp: list[int], cands, degree: int,
     return None if best is None else _fifo_path(adj, *best)
 
 
-def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: bool,
-                    comp: list[int]) -> CycleWitness | None:
-    """The search of find_directed_cycle on successor masks whose components
-    are comp or, when it is empty, are filled into it once the search needs
-    them."""
+def _directed_cycle(d: DependencyDigraph, bad_only: bool,
+                    skip_two: bool) -> CycleWitness | None:
+    """The search of find_directed_cycle; it reads d.comp only past loops
+    and, with skip_two, bad two-cycles."""
+    succ, neg = d.succ, d.neg
+
     def witness(cycle: list[int]) -> CycleWitness:
         verts = _rotate_min(cycle)
         bad = any(neg[a] >> b & 1 for a, b in zip(verts, verts[1:] + verts[:1]))
@@ -288,8 +308,7 @@ def _directed_cycle(succ: list[int], neg: list[int], bad_only: bool, skip_two: b
             if succ[v] >> u & 1 and (neg[u] >> v | neg[v] >> u) & 1:
                 return witness([u, v])
     # edge (u, v) is closed by a path v -> u; with skip_two, not by v -> u
-    if not comp:
-        comp += _components(succ)  # in place, for the caller
+    comp = d.comp
     path = _first_shortest(succ, comp, (
         (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
         for v in atoms_of(m & comp[u])), 1, 1, 3 if skip_two else 2)
@@ -338,8 +357,7 @@ def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
     two-cycles of positive edges.  Each candidate edge (u, v) is closed by the
     shortest path v -> u; the first shortest cycle in sorted edge order wins.
     """
-    return _directed_cycle(d.succ, d.neg, bad_only,
-                           allow_good_two_cycles and not bad_only, d.comp)
+    return _directed_cycle(d, bad_only, allow_good_two_cycles and not bad_only)
 
 
 def find_undirected_cycle(g: UndirectedDepGraph, *,
@@ -356,30 +374,25 @@ def find_undirected_cycle(g: UndirectedDepGraph, *,
         "undirected", _rotate_min(found[0]), found[1], g)
 
 
-def cycle_witness(succ: list[int], neg: list[int], c: TargetClass, comp: list[int],
-                  udg: UndirectedDepGraph | None = None) -> CycleWitness | None:
-    """Forbidden cycle for class c in the dependency graph of these masks,
-    whose undirected graph is udg when given; a directed class searches it
-    with the components comp, filled in place when empty."""
+def cycle_witness(d: DependencyDigraph, c: TargetClass) -> CycleWitness | None:
+    """Forbidden cycle for class c in the dependency graph d."""
     if c not in ACYCLIC_CLASSES:
         raise ValueError(f"{c} is not an acyclicity-based class")
     if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC:
-        return find_undirected_cycle(udg or _udg(succ, neg),
-                                     bad_only=c is TargetClass.BC_ACYC)
-    return _directed_cycle(succ, neg, c is TargetClass.STRAT,
-                           c is TargetClass.DC2_ACYC, comp)
+        return find_undirected_cycle(d.udg, bad_only=c is TargetClass.BC_ACYC)
+    return _directed_cycle(d, c is TargetClass.STRAT, c is TargetClass.DC2_ACYC)
 
 
-def _branch_atoms(succ: list[int], pred: list[int], comp: list[int],
+def _branch_atoms(d: DependencyDigraph, pred: list[int],
                   cycle: tuple[int, ...]) -> int:
-    """The atoms of a cycle in graph succ, with components comp, that a
-    deletion search branches on when no deletion adds an edge; pred[a],
+    """The atoms of a cycle in graph d that a deletion search branches on
+    when no deletion adds an edge; pred[a],
     masked by the live atoms, holds a's in-neighbours.  Atom a defers to u
     if u is its only in-neighbour in its component, else its only
     out-neighbour there: every cycle through a, in any subgraph, then passes
     u, so a solution holding a stays one with u in its place.  The roots of
     the deferral chains remain."""
-    cm = comp[cycle[0]]
+    succ, cm = d.succ, d.comp[cycle[0]]
     # in cm, a's only in-neighbour can only be its predecessor on the cycle and
     # its only out-neighbour its successor: a defers a step back (-1), on (1)
     # or not (0).  So a chain that closes on itself is a pair deferring to
@@ -395,26 +408,6 @@ def _branch_atoms(succ: list[int], pred: list[int], comp: list[int],
     return out or 1 << min(cycle)
 
 
-def _deletion_graph(cp: CompiledProgram) -> tuple:
-    """cp.graph, built on first use: the dependency graph of the rules of cp
-    that are not tautological, its undirected graph, the tautological
-    rules, and in rule order the rules with two or more head atoms."""
-    if cp.graph is None:
-        taut = [r for r in cp.rules if r[1] & (r[0] | r[2])]
-        succ, neg = _dep_masks(cp.n_atoms, [r for r in cp.rules if not r[1] & (r[0] | r[2])]
-                               if taut else cp.rules)
-        cp.graph = (DependencyDigraph(succ, neg), _udg(succ, neg), taut,
-                    [r for r in cp.rules if r[0] & (r[0] - 1)])
-    return cp.graph
-
-
-def core_witness(cp: CompiledProgram, c: TargetClass) -> CycleWitness | None:
-    """Forbidden cycle for class c in the dependency graph of cp's core."""
-    d, udg, _, _ = _deletion_graph(cp)
-    directed = c is not TargetClass.C_ACYC and c is not TargetClass.BC_ACYC
-    return cycle_witness(d.succ, d.neg, c, d.comp if directed else [], udg)
-
-
 def deletion_violation(cp: CompiledProgram, c: TargetClass):
     """x -> (violation(cp, c, x), branch), built once per deletion search or
     oracle query; branch holds the atoms to branch on.  Horn: violation's
@@ -424,14 +417,16 @@ def deletion_violation(cp: CompiledProgram, c: TargetClass):
     with ~x and the edges of the rules x wakes ORed in (exact, as deletion
     keeps a non-tautological rule's other edges as they are); if x wakes
     none, the undirected graph is masked so, not rebuilt.  branch drops the
-    dominated atoms (_branch_atoms) of a directed cycle whose search found
-    components, where pred is built: no rule is tautological or disjunctive."""
+    dominated atoms (_branch_atoms) of a directed cycle whose search read
+    the components, where pred is built: no rule is tautological or
+    disjunctive."""
     if c not in ACYCLIC_CLASSES:  # Horn, or an unknown class violation rejects
         return lambda x: (violation(cp, c, x),) * 2
-    d, udg, taut, multi = _deletion_graph(cp)
-    n, occ, wake = cp.n_atoms, cp.occurring, cp.wake
-    ends = [(e, 1 << e[0] | 1 << e[1]) for e in udg.neg_edges] if c in (
-        TargetClass.C_ACYC, TargetClass.BC_ACYC) else None
+    d, n, occ, wake = core_graph(cp), cp.n_atoms, cp.occurring, cp.wake
+    taut = [r for r in cp.rules if r[1] & (r[0] | r[2])]
+    multi = [r for r in cp.rules if r[0] & (r[0] - 1)]
+    udg = d.udg if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC else None
+    ends = [(e, 1 << e[0] | 1 << e[1]) for e in udg.neg_edges] if udg else None
     pred = None
     if ends is None and not wake and not multi:
         # no deletion adds an edge, so pred masked by the live atoms gives each
@@ -463,10 +458,10 @@ def deletion_violation(cp: CompiledProgram, c: TargetClass):
             if h and not pos & (h | ng):  # woken, with one head atom
                 s[h.bit_length() - 1] |= pos | ng
                 g[h.bit_length() - 1] |= ng
-        comp: list[int] = []  # filled if the cycle search needs it
-        w = cycle_witness(s, g, c, comp)
+        dx = DependencyDigraph(s, g)
+        w = cycle_witness(dx, c)
         v = 0 if w is None else atom_mask(v for v in w.vertices if v < n)
-        return v, _branch_atoms(s, pred, comp, w.vertices) if v and pred and comp else v
+        return v, _branch_atoms(dx, pred, w.vertices) if v and pred and dx._comp else v
     return viol
 
 
@@ -491,7 +486,7 @@ def violation(cp: CompiledProgram, c: TargetClass, x: int = 0, true: int | None 
     for h, _, _ in rules:
         if h & (h - 1):
             return h
-    w = cycle_witness(*_dep_masks(cp.n_atoms, rules), c, [])
+    w = cycle_witness(DependencyDigraph(*_dep_masks(cp.n_atoms, rules)), c)
     return 0 if w is None else atom_mask(v for v in w.vertices if v < cp.n_atoms)
 
 
@@ -502,7 +497,7 @@ def in_target_class(p: Program, c: TargetClass) -> bool:
 
 def witness_cycle(p: Program, c: TargetClass) -> CycleWitness | None:
     """Forbidden cycle of core(p) for an acyclicity-based class, or None."""
-    return core_witness(CompiledProgram(p), c)
+    return cycle_witness(core_graph(CompiledProgram(p)), c)
 
 
 def describe_witness(p: Program, w: CycleWitness) -> str:

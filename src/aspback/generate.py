@@ -42,6 +42,8 @@ class GenConfig:
             raise ValueError("n_atoms must be positive")
         if not 0 <= self.density < math.inf:  # nan fails both comparisons
             raise ValueError("density must be a finite nonnegative number")
+        if not math.isfinite(self.density * self.n_atoms):
+            raise ValueError("density * n_atoms, the rule count, must be finite")
         if not 0 <= self.body_len <= self.n_atoms - 1:
             raise ValueError("body_len must fit the non-head atoms")
         if not 0.0 <= self.neg_prob <= 1.0:

@@ -202,7 +202,8 @@ def parse_program(text: str | bytes) -> Program:
 
     Statements are rules terminated by '.', '%' starts a comment, heads are
     '|'-separated atoms, bodies are ','-separated literals with optional
-    'not'.  Duplicate literals within a rule part are deduplicated; the count
+    'not'; ':-.' is the empty constraint, but after a head ':-' needs a
+    body.  Duplicate literals within a rule part are deduplicated; the count
     of dropped duplicates is exposed as Program.duplicate_literals.  The
     whole text is tokenized first, so a bad character anywhere is reported
     before any grammar error.
@@ -236,9 +237,10 @@ def parse_program(text: str | bytes) -> Program:
                 i, t = next(it)
         if t == ":-":
             i, t = next(it)
-            if t == ".":
+            if t == "." and head:
                 raise _error(text, i, "empty body after ':-'")
-            while True:
+            # ':-.' alone is the empty constraint; after ',' an atom must follow
+            while t != "." or pos or neg_names:
                 negated = t == "not"
                 if negated:
                     i, t = next(it)
@@ -270,8 +272,7 @@ def render_rule(p: Program, r) -> str:
     body = [p.atom_name(a) for a in sorted(pos)]
     body += ["not " + p.atom_name(a) for a in sorted(neg)]
     if not body:
-        # an all-empty rule only arises internally, after atom deletion
-        return head + "." if head else ":-."
+        return head + "." if head else ":-."  # a fact, or the empty constraint
     lhs = head + " " if head else ""
     return f"{lhs}:- {', '.join(body)}."
 
@@ -335,14 +336,13 @@ class CompiledProgram:
     program with x deleted, computed from the masks without building a
     Program; core(x, true) is the core of a truth-assignment reduct over x.
     Build one per search or membership test; Program itself never compiles.
-    wake masks the atoms whose deletion can wake a tautological rule; graph
-    is depgraph's dependency graph of the rules, built on first use.
+    wake masks the atoms whose deletion can wake a tautological rule.
     """
 
-    __slots__ = ("n_atoms", "occurring", "rules", "wake", "graph")
+    __slots__ = ("n_atoms", "occurring", "rules", "wake")
 
     def __init__(self, p: Program):
-        self.n_atoms, self.graph = p.n_atoms, None
+        self.n_atoms = p.n_atoms
         self.rules = tuple((atom_mask(h), atom_mask(pos), atom_mask(neg))
                            for h, pos, neg in p.rule_parts)
         self.occurring = self.wake = 0

@@ -97,8 +97,8 @@ def test_classify_output_pinned(capsys, tmp_path, text, undirected, directed):
 
 
 def test_classify_builds_one_graph(capsys, tmp_path, monkeypatch):
-    # the five classes read one cached graph: its per-atom masks are ORed
-    # once and its undirected graph is built once
+    # the five classes read one core_graph: its per-atom masks are ORed
+    # once and its undirected graph is built on its first read
     import aspback.depgraph as dg
     calls = []
     for name in ("_dep_masks", "_udg"):
@@ -131,6 +131,7 @@ def test_graph_kinds(capsys, ex1_file):
     for which, needle in (("ddg", "digraph"), ("udg", "v_(w,r)"), ("incidence", '"r0"')):
         code, out, _ = run(capsys, "graph", ex1_file, "--which", which)
         assert code == 0 and needle in out
+        assert out.endswith("}\n") and not out.endswith("\n\n")  # written as is
 
 
 def test_backdoor_text(capsys, ex1_file):
@@ -422,6 +423,13 @@ def test_gen_random_rejects_non_finite_density(capsys, density):
     assert code == 2 and not out
     assert "density must be a finite nonnegative number" in err
     assert "Traceback" not in err
+
+
+def test_gen_random_rejects_overflowing_rule_count(capsys):
+    # the density is finite, the rule count ceil(density * n) is not
+    code, out, err = run(capsys, "gen", "random", "-n", "5", "--density", "1e308")
+    assert code == 2 and not out
+    assert "rule count, must be finite" in err and "Traceback" not in err
 
 
 def test_gen_hitting_stdin(capsys, monkeypatch):

@@ -70,6 +70,26 @@ def test_find_directed_cycle_shortest_and_rotated():
     assert not w.bad
 
 
+def test_components_computed_on_demand(monkeypatch):
+    # a loop is found before the search needs the components, so no Tarjan
+    # pass runs and the deletion search branches on the loop whole; a cycle
+    # that needs them runs one, which _branch_atoms then reads again
+    import aspback.depgraph as dg
+    from aspback.program import CompiledProgram
+    calls = []
+    monkeypatch.setattr(dg, "_components", lambda adj, undirected=False, fn=dg._components:
+                        calls.append(undirected) or fn(adj, undirected))
+
+    def closure(text, c):
+        return dg.deletion_violation(CompiledProgram(parse_program(text)), c)
+    assert find_directed_cycle(build_ddg(parse_program("a :- a.  b :- a."))).vertices == (0,)
+    assert closure("a :- not a.  b :- a.", TargetClass.STRAT)(0) == (1, 1)
+    assert calls == []
+    # b and c, the only two-cycle, defer to each other: b is branched on
+    assert closure("a :- b.  b :- c.  c :- a.  c :- b.", TargetClass.DC_ACYC)(0) == (6, 2)
+    assert calls == [False]
+
+
 def test_find_directed_cycle_bad_only():
     p = parse_program("a :- b.  b :- a.  c :- not d.  d :- c.")
     w = find_directed_cycle(build_ddg(p), bad_only=True)

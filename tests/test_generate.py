@@ -24,6 +24,10 @@ def test_config_validation():
     for density in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             GenConfig(n_atoms=5, density=density)
+    # finite, but the rule count density * n_atoms overflows to inf
+    with pytest.raises(ValueError, match="rule count"):
+        GenConfig(n_atoms=5, density=1e308)
+    assert GenConfig(n_atoms=1, density=1e308, body_len=0).density == 1e308
     with pytest.raises(ValueError):
         GenConfig(n_atoms=5, density=1.0, body_len=5)
     with pytest.raises(ValueError):

@@ -93,7 +93,6 @@ PARSE_ERRORS = (
     ("a :- not.", "expected atom, got '.'", 1, 9),
     ("a | not.", "expected atom, got 'not'", 1, 5),
     ("a :- b c.", "expected '.', got 'c'", 1, 8),
-    (":- .", "empty body after ':-'", 1, 4),
     ("a.\n\n  b :- 1c.", "unexpected character '1'", 3, 8),
     ("a :- b :- c.", "expected '.', got ':-'", 1, 8),
     ("a. . b.", "expected rule, got '.'", 1, 4),
@@ -120,6 +119,20 @@ def test_parse_error_table(text, message, line, col):
         parse_program(text)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
     assert str(e.value) == f"line {line}, col {col}: {message}"
+
+
+def test_parse_empty_constraint():
+    # ':-.' is the rule with no atoms, which render_rule writes; once a head
+    # or a literal is read, ':-' still needs a body and ',' an atom
+    for text in (":-.", ":- .", ":-\n.", ":- % c\n."):
+        p = parse_program("a.\n" + text)
+        assert p.rule_parts == (((0,), (), ()), ((), (), ()))
+        assert render_program(p) == "a.\n:-.\n"
+    for text, message in (("a :- .", "empty body after ':-'"),
+                          (":- a, .", "expected atom, got '.'"),
+                          (":- not .", "expected atom, got '.'")):
+        with pytest.raises(ParseError, match=message):
+            parse_program(text)
 
 
 def test_parse_interns_head_then_positive_then_negative():
@@ -285,7 +298,7 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
     # same Rules reads their frozensets; every view must come out the same
     from aspback import BackdoorQuery, find_backdoor, horn_conflict_graph
     from test_detect import _golden_corpus
-    # a rendered golden program with an all-empty rule (":-.") does not parse
+    # every rendered golden program parses; the mutants that do not are dropped
     texts = [render_program(p) for p in _golden_corpus()]
     texts = [t for t in texts + list(_mutants(3000)) + list(DUPLICATE_LITERALS)
              if not _outcome(t).startswith("error ")]
@@ -304,6 +317,29 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
             assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
         assert p == twin and hash(p) == hash(twin), text
     assert len(texts) > 1000 and dups >= 11
+
+
+def test_rendered_corpora_parse_back():
+    # render_program writes ':-.' for a rule with no atoms; every corpus
+    # program must read back as the same rules, classes and answer sets,
+    # compared by atom name (the parse renumbers and drops unused atoms)
+    from aspback import brute_answer_sets
+    from test_detect import _golden_corpus, _strong_corpus
+
+    def by_name(p, ids):
+        return frozenset(map(p.atom_name, ids))
+    empty = 0
+    for i, p in enumerate(_golden_corpus() + _strong_corpus()):
+        q = parse_program(render_program(p))
+        assert [tuple(by_name(q, part) for part in r) for r in q.rule_parts] == \
+            [tuple(by_name(p, part) for part in r) for r in p.rule_parts], i
+        empty += ((), (), ()) in p.rule_parts
+        for c in TargetClass:
+            assert in_target_class(q, c) == in_target_class(p, c), (i, c)
+        if p.n_atoms <= 12:
+            assert {by_name(q, m) for m in brute_answer_sets(q)} == \
+                {by_name(p, m) for m in brute_answer_sets(p)}, i
+    assert empty >= 15
 
 
 def test_atom_mask_ors_each_atom_once():
