@@ -187,6 +187,8 @@ def _atom(p: Program, name: str, what: str) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.jobs < 1:  # answer_sets checks this too, but the brute engine never calls it
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     p = _load(args.file)
     atom = None
     if args.mode in ("brave", "cautious"):

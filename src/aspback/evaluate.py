@@ -10,8 +10,10 @@ compiled, and a block visits only those, at a cost set by the backdoor.  The
 assignments lo .. lo + w - 1 (w a power of two, lo a multiple of w) are then
 evaluated together: each atom holds one int whose bit j says whether it lies in
 the candidate of assignment lo + j, so one rule step serves all w of them.  The
-i-th atom of x has a fixed column, bit i of lo + j.  A block runs two fixpoints:
-- the closure, where a rule fires unless a head or negative atom of x is true;
+i-th atom of x holds bit i of lo + j all block long (no rule with its head in x
+fires in the closure), and every gate is a list of atoms read from these values:
+a rule passes it where none is true.  A block runs two fixpoints:
+- the closure, where a rule fires unless a head atom in x or a negative atom is true;
   only rules with their head inside x (constraints too) can then fail the model
   test, and each ORs its violations into the block's failed mask;
 - the least model of the GL reduct P^M of each candidate M, which is minimal iff
@@ -70,9 +72,9 @@ class _Evaluator:
     Tautological rules are dropped, and x keeps only atoms that the rules
     mention.  Propagation rules are the kept rules with a head outside B that
     leaves x or is their one head atom in x, kept as that atom, their positive
-    body outside B and two gates, None where the rule never fires: in the
-    closure the domain indices (i stands for dom[i]) whose truth switches it
-    off, in P^M those indices and the atoms outside x whose truth drop it.
+    body outside B and two gates, None where the rule never fires: the atoms
+    whose value switches it off in the closure (its head atoms in x and its
+    negative body) and in P^M (its negative body, read from the candidate).
     """
 
     def __init__(self, n_atoms: int, rules, x: int):
@@ -83,7 +85,6 @@ class _Evaluator:
         self.n_atoms, self.dom = n_atoms, atoms_of(x)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
-        idx = {a: i for i, a in enumerate(self.dom)}.__getitem__
         self.rules = [r for r in rules if not r[1] & (r[0] | r[2])]
         # B: the least model of the definite rules that mention no atom of x; its
         # atoms start out true in every block, leave the bodies and drop the rules they head
@@ -93,33 +94,27 @@ class _Evaluator:
         self._fix([1] * len(self.props), in_base, ())
         self.base = frozenset(a for a, v in enumerate(in_base) if v)
         held, keep = atom_mask(self.base), ~x
-        # checks: (head | neg indices, pos indices, pos outside x and B, neg outside
-        # x), the rules that can fail the model test; disj: (neg indices, neg outside
-        # x) of the rules that keep two head atoms in P^M wherever they survive
+        # checks: (head | neg, pos outside B) of the rules that can fail the model
+        # test; disj: the negative bodies of the rules that keep two head atoms in P^M
         props, self.checks, self.disj = [], [], []
         for h, pos, neg in self.rules:
-            h_out, neg_out = h & keep, neg & keep
-            if h_out & (h_out - 1) or h_out and neg_out:
+            h_out, hx = h & keep, h & x
+            if h_out & (h_out - 1) or h_out and neg & keep:
                 raise ValueError("the atoms are not a strong horn backdoor: "
                                  "some truth assignment reduct is not Horn*")
             if h_out & held:  # the rule holds; it can only keep a second head atom, in x
-                if h & x:
-                    self.disj.append((tuple(map(idx, atoms_of(neg & x))), []))
-                continue
-            hx, nx = tuple(map(idx, atoms_of(h & x))), tuple(map(idx, atoms_of(neg & x)))
-            body = atoms_of(pos & ~held)
-            if h_out:
-                props.append((h_out.bit_length() - 1, body, hx + nx, None if hx else (nx, [])))
                 if hx:
-                    self.disj.append((nx, []))
+                    self.disj.append(atoms_of(neg))
                 continue
-            neg_out = atoms_of(neg_out)
-            self.checks.append((hx + nx, list(map(idx, atoms_of(pos & x))),
-                                atoms_of(pos & keep & ~held), neg_out))
-            if len(hx) == 1:
-                props.append((h.bit_length() - 1, body, None, (nx, neg_out)))
-            elif hx:
-                self.disj.append((nx, neg_out))
+            negs, body = atoms_of(neg), atoms_of(pos & ~held)
+            if h & (h - 1):  # two head atoms, one in x at least
+                self.disj.append(negs)
+            if h_out:  # neg lies inside x, or the test above raised
+                props.append((h_out.bit_length() - 1, body, atoms_of(hx | neg), None if hx else negs))
+            else:
+                self.checks.append((atoms_of(h | neg), body))
+                if h and not h & (h - 1):
+                    props.append((h.bit_length() - 1, body, None, negs))
         self._index(props)
         self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)})
 
@@ -157,35 +152,31 @@ class _Evaluator:
         model of P^M, or is left to scan.
         """
         full = (1 << w) - 1
-        # bit i of lo + j: runs of 2^i zeros and ones, or constant from 2^i = w on
-        cols = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-                if 1 << i < w else full * (lo >> i & 1) for i in range(len(self.dom))]
         val = [full * v for v in self.in_base]
         least = val.copy()
+        # the i-th atom of x is bit i of lo + j: runs of 2^i zeros and ones, or
+        # constant from 2^i = w on; no rule of the closure changes it
+        for i, a in enumerate(self.dom):
+            val[a] = (full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                      if 1 << i < w else full * (lo >> i & 1))
 
-        def on(xs, negs=()) -> int:  # where no atom of xs or negs is true
+        def on(atoms) -> int:  # where no atom of atoms is true
             v = full
-            for i in xs:
-                v &= ~cols[i]
-            for a in negs:
+            for a in atoms:
                 v &= ~val[a]
             return v
 
-        for a, c in zip(self.dom, cols):
-            val[a] = c
         self._fix([0 if g is None else on(g) for _, _, g, _ in self.props], val, self.dom)
         failed = scan = nonmin = 0
-        for g, px, pos, neg in self.checks:
-            v = on(g, neg)
-            for i in px:
-                v &= cols[i]
+        for g, pos in self.checks:
+            v = on(g)
             for a in pos:
                 v &= val[a]
             failed |= v
-        for nx, neg in self.disj:
-            scan |= on(nx, neg)
+        for g in self.disj:
+            scan |= on(g)
         scan &= ~failed
-        self._fix([0 if m is None else on(*m) for _, _, _, m in self.props], least, ())
+        self._fix([0 if g is None else on(g) for _, _, _, g in self.props], least, ())
         for a in self.derivable:
             nonmin |= val[a] & ~least[a]
         return val, failed, nonmin & ~(failed | scan), scan
@@ -237,7 +228,7 @@ def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     for lo in range(0, total, w):
         val = ev.block(lo, w)[0]
         for j in range(w):
-            tau = TruthAssignment({a: lo + j >> i & 1 for i, a in enumerate(ev.dom)})
+            tau = TruthAssignment({a: val[a] >> j & 1 for a in ev.dom})
             combined = ev.candidate(val, j)
             out.append(Candidate(tau, combined - tau.true_atoms, combined))
     return tuple(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 from .program import ATOM_RE, Program, ProgramBuilder, RESERVED
@@ -38,8 +39,8 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be positive")
+        if not 1 <= self.n_atoms <= sys.float_info.max:  # density * n_atoms converts it
+            raise ValueError("n_atoms must be positive and within the float range")
         if not 0 <= self.density < math.inf:  # nan fails both comparisons
             raise ValueError("density must be a finite nonnegative number")
         if not math.isfinite(self.density * self.n_atoms):
@@ -79,7 +80,7 @@ def random_program(cfg: GenConfig) -> Program:
         pos, neg = [], []
         for a in body:
             (neg if rng.random() < cfg.neg_prob else pos).append(a)
-        b.add_rule([f"x{head}"], [f"x{a}" for a in pos], [f"x{a}" for a in neg])
+        b._add([head], pos, neg)
     return b.build()
 
 

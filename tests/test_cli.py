@@ -353,9 +353,10 @@ def test_solve_jobs_matches(capsys, ex1_file):
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_solve_jobs_below_one_exit(capsys, ex1_file, jobs):
-    code, out, err = run(capsys, "solve", ex1_file, "--jobs", jobs)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "jobs" in err
+    # the brute engine never forks, but takes the same --jobs bound
+    for engine in ("backdoor", "brute"):
+        code, out, err = run(capsys, "solve", ex1_file, "--jobs", jobs, "--engine", engine)
+        assert (code, out, err) == (2, "", f"error: jobs must be at least 1, got {jobs}\n")
 
 
 def test_gen_random_stdout(capsys):

@@ -28,6 +28,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="rule count"):
         GenConfig(n_atoms=5, density=1e308)
     assert GenConfig(n_atoms=1, density=1e308, body_len=0).density == 1e308
+    # an atom count beyond the float range, even with no rules to count
+    with pytest.raises(ValueError, match="n_atoms"):
+        GenConfig(n_atoms=10**400, density=0)
     with pytest.raises(ValueError):
         GenConfig(n_atoms=5, density=1.0, body_len=5)
     with pytest.raises(ValueError):

@@ -72,6 +72,10 @@ def test_atom_guard():
     with pytest.raises(ValueError):
         brute_answer_sets(p)
     assert len(brute_answer_sets(p, max_atoms=21)) == 1
+    with pytest.raises(ValueError, match="is_answer_set_direct guard"):
+        is_answer_set_direct(p, set(), max_atoms=20)
+    with pytest.raises(ValueError, match="brute_min_backdoor guard"):
+        brute_min_backdoor(p, TargetClass.HORN, "strong", max_atoms=20)
 
 
 def test_brute_min_backdoor_trivial():

@@ -39,6 +39,10 @@ def test_parse_fact_and_empty_program():
     assert p.rules[0].pos_body == frozenset()
     empty = parse_program("")
     assert empty.n_atoms == 0 and empty.rules == ()
+    # bytes are decoded as UTF-8, and invalid UTF-8 is a ValueError
+    assert parse_program(b"a.").rules == p.rules
+    with pytest.raises(ValueError):
+        parse_program(b"a\xff.")
 
 
 def test_parse_comments_and_whitespace():
