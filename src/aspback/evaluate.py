@@ -1,27 +1,22 @@
 """Evaluation through a strong Horn backdoor x, a block of truth assignments at a time.
 
-The program is compiled once, from the (head, pos, neg) rule masks of
-CompiledProgram, into an evaluator; no Program is built after the parse.
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
-The definite rules without atoms of x are closed first, in one linear pass, into
-a shared least model B; then only the live rules, whose head B leaves open, are
-compiled, and a block visits only those, at a cost set by the backdoor.  The
-assignments lo .. lo + w - 1 (w a power of two, lo a multiple of w) are then
-evaluated together: each atom holds one int whose bit j says whether it lies in
-the candidate of assignment lo + j, so one rule step serves all w of them.  The
-i-th atom of x holds bit i of lo + j all block long (no rule with its head in x
-fires in the closure), and every gate is a list of atoms read from these values:
-a rule passes it where none is true.  A block runs two fixpoints:
+The program is compiled once, from the (head, pos, neg) atom ids of its parsed rules,
+with no per-rule mask: one pass drops the tautological rules and closes the definite
+rules without atoms of x into a shared least model B, and only the live rules, whose
+head B leaves open, reach the blocks.  A block evaluates the assignments
+lo .. lo + w - 1 (w a power of two, lo a multiple of w) together: each atom holds one
+int whose bit j says whether it lies in the candidate of lo + j, the i-th atom of x
+holding bit i of lo + j, and a gate is a list of atoms that switch a rule off where
+one is true.  A block runs two fixpoints:
 - the closure, where a rule fires unless a head atom in x or a negative atom is true;
   only rules with their head inside x (constraints too) can then fail the model
   test, and each ORs its violations into the block's failed mask;
 - the least model of the GL reduct P^M of each candidate M, which is minimal iff
   that least model holds all of M, unless a surviving rule of P^M keeps two head
-  atoms (never in a normal program).  Those assignments form the scan mask, and
-  only their candidates M go through scan: the blocks of one more evaluator, of
-  the reduct P'_M through the backdoor M n x, whose rule masks scan derives by
-  masking the compiled rules of the first.
+  atoms (never in a normal program).  Only those candidates go through scan: the
+  closures of one more evaluator, of P'_M, built from the live rules alone.
 A Horn* program is the case x = {}: its one candidate is the least model of its core.
 """
 
@@ -30,8 +25,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
-from .program import CompiledProgram, Program, atom_mask, atoms_of
+from .program import Program, tautological
 from .reducts import TruthAssignment, check_atoms
 # not called here, but perfbench/tracer.py wraps these names in evaluate
 from .oracle import is_model, propagate_definite  # noqa: F401
@@ -66,63 +63,65 @@ class EvalReport:
 
 
 class _Evaluator:
-    """Rule masks (head, pos, neg) over n_atoms atoms, compiled for block
-    evaluation through the strong Horn backdoor mask x.
+    """A sequence of rules (head, pos, neg) of atom ids over n_atoms atoms, compiled
+    for block evaluation through the strong Horn backdoor x, a frozenset of atom ids,
+    less the atoms that no rule mentions (tautological rules count).
 
-    Tautological rules are dropped, and x keeps only atoms that the rules
-    mention.  Propagation rules are the kept rules with a head outside B that
-    leaves x or is their one head atom in x, kept as that atom, their positive
-    body outside B and two gates, None where the rule never fires: the atoms
-    whose value switches it off in the closure (its head atoms in x and its
-    negative body) and in P^M (its negative body, read from the candidate).
-    """
+    Propagation rules are the live rules with a head outside B that leaves x or is
+    their one head atom in x, kept as that atom, their body (positive, outside B)
+    and two gates, None where the rule never fires: its head atoms in x and its
+    negative body in the closure, and its negative body in P^M."""
 
-    def __init__(self, n_atoms: int, rules, x: int):
-        occurring = 0
-        for h, pos, neg in rules:
-            occurring |= h | pos | neg
-        x = self.x = x & occurring
-        self.n_atoms, self.dom = n_atoms, atoms_of(x)
+    def __init__(self, n_atoms: int, rules, x: frozenset[int]):
+        self.n_atoms = n_atoms
+        x = self.x = x and x.intersection(chain.from_iterable(chain.from_iterable(rules)))
+        self.dom = sorted(x)
         if len(self.dom) > ENUM_GUARD:
             raise ValueError(f"backdoor too large to enumerate (> {ENUM_GUARD} atoms)")
-        self.rules = [r for r in rules if not r[1] & (r[0] | r[2])]
-        # B: the least model of the definite rules that mention no atom of x; its
-        # atoms start out true in every block, leave the bodies and drop the rules they head
-        in_base = self.in_base = [0] * n_atoms
-        self._index([(h.bit_length() - 1, atoms_of(pos), None, None) for h, pos, neg in self.rules
-                     if h and not h & (h - 1) and not (h | pos) & x and not neg])
-        self._fix([1] * len(self.props), in_base, ())
-        self.base = frozenset(a for a, v in enumerate(in_base) if v)
-        held, keep = atom_mask(self.base), ~x
-        # checks: (head | neg, pos outside B) of the rules that can fail the model
-        # test; disj: the negative bodies of the rules that keep two head atoms in P^M
-        props, self.checks, self.disj = [], [], []
-        for h, pos, neg in self.rules:
-            h_out, hx = h & keep, h & x
-            if h_out & (h_out - 1) or h_out and neg & keep:
+        # B, the least model of the definite rules without atoms of x, holds in every candidate
+        definite, rest = [], []
+        for r in rules:
+            h, pos, neg = r
+            if pos and tautological(h, pos, neg):
+                continue
+            if len(h) == 1 and not neg and x.isdisjoint(h) and x.isdisjoint(pos):
+                definite.append((*h, pos, None, None))
+            else:
+                rest.append(r)
+        in_base = [0] * n_atoms
+        self._index(definite)
+        self._fix([1] * len(definite), in_base, ())
+        rest += [((a,), pos, ()) for a, pos, _, _ in definite if not in_base[a]]
+        self.base = frozenset(a for a, _, _, _ in definite if in_base[a])
+        # checks: (head + neg, body) of the rules that can fail the model test; disj: the
+        # negative bodies of the live rules with two head atoms; live: (head, body, neg)
+        props, self.checks, self.disj, self.live = [], [], [], []
+        for h, pos, neg in rest:
+            out = [a for a in h if a not in x]
+            if len(out) > 1 or out and not x.issuperset(neg):
                 raise ValueError("the atoms are not a strong horn backdoor: "
                                  "some truth assignment reduct is not Horn*")
-            if h_out & held:  # the rule holds; it can only keep a second head atom, in x
-                if hx:
-                    self.disj.append(atoms_of(neg))
-                continue
-            negs, body = atoms_of(neg), atoms_of(pos & ~held)
-            if h & (h - 1):  # two head atoms, one in x at least
-                self.disj.append(negs)
-            if h_out:  # neg lies inside x, or the test above raised
-                props.append((h_out.bit_length() - 1, body, atoms_of(hx | neg), None if hx else negs))
+            if in_base[out[0]] if out else any(in_base[a] for a in neg):
+                continue  # the rule holds in every model of P^M, or it never fires nor fails
+            if len(h) > 1:  # two head atoms, one in x at least, may both stay in P^M
+                self.disj.append(neg)
+            body = [a for a in pos if not in_base[a]]
+            self.live.append((h, body, neg))
+            if out:  # neg lies inside x
+                props.append((out[0], body, neg, neg) if len(h) == 1 else
+                             (out[0], body, [a for a in h if a in x] + [*neg], None))
             else:
-                self.checks.append((atoms_of(h | neg), body))
-                if h and not h & (h - 1):
-                    props.append((h.bit_length() - 1, body, None, negs))
+                self.checks.append(([*h, *neg], body))
+                if len(h) == 1:
+                    props.append((*h, body, None, neg))
         self._index(props)
         self.derivable = sorted({*self.dom, *(h for h, _, _, _ in props)})
 
     def _index(self, props) -> None:
-        self.props, self.occ = props, [[] for _ in range(len(self.in_base))]
+        self.props, self.occ = props, {}
         for i, (_, body, _, _) in enumerate(props):
             for a in body:
-                self.occ[a].append(i)
+                self.occ.setdefault(a, []).append(i)
         self.facts = [i for i, (_, body, _, _) in enumerate(props) if not body]
 
     def _fix(self, fire: list[int], val: list[int], seeds) -> list[int]:
@@ -142,17 +141,17 @@ class _Evaluator:
                     stack.append(h)
             if not stack:
                 return val
-            todo = occ[stack.pop()]
+            todo = occ.get(stack.pop(), ())
 
-    def block(self, lo: int, w: int) -> tuple[list[int], int, int, int]:
-        """Candidates and verdicts of the assignments lo .. lo + w - 1.
-
-        Returns the atom values and three disjoint masks: the assignments
-        whose candidate fails the model test, fails minimality by the least
-        model of P^M, or is left to scan.
-        """
+    def block(self, lo: int, w: int) -> Iterator[tuple]:
+        """Candidates and verdicts of the assignments lo .. lo + w - 1, in two steps:
+        the atom values and the mask of the assignments whose candidate fails the model
+        test, then, on demand, the masks of those that fail minimality by the least
+        model of P^M and of those left to scan, both disjoint from the first."""
         full = (1 << w) - 1
-        val = [full * v for v in self.in_base]
+        val = [0] * self.n_atoms
+        for a in self.base:
+            val[a] = full
         least = val.copy()
         # the i-th atom of x is bit i of lo + j: runs of 2^i zeros and ones, or
         # constant from 2^i = w on; no rule of the closure changes it
@@ -173,33 +172,35 @@ class _Evaluator:
             for a in pos:
                 v &= val[a]
             failed |= v
+        yield val, failed
         for g in self.disj:
             scan |= on(g)
         scan &= ~failed
         self._fix([0 if g is None else on(g) for _, _, _, g in self.props], least, ())
         for a in self.derivable:
             nonmin |= val[a] & ~least[a]
-        return val, failed, nonmin & ~(failed | scan), scan
+        yield nonmin & ~(failed | scan), scan
 
     def candidate(self, val: list[int], j: int) -> frozenset[int]:
-        """The candidate of bit j of a block with atom values val."""
-        return self.base.union(a for a in self.derivable if val[a] >> j & 1)
+        """The atoms outside B of the candidate of bit j of a block with atom values val."""
+        return frozenset(a for a in self.derivable if val[a] >> j & 1)
 
     def scan(self, mm: frozenset[int]) -> bool:
-        """Minimality of the model mm, through the blocks of one more evaluator.
+        """Minimality of the model B u mm, through the closures of one more evaluator.
 
-        Its program P'_mm is masked from this evaluator's rules: those of P^mm whose
-        positive body misses x - mm, minus x - mm in their heads (the rest hold in every
-        subset of mm); mm is minimal unless some candidate through the backdoor mm n x
-        models P'_mm and is a proper subset of mm."""
-        m = atom_mask(mm)
-        out = self.x ^ (self.x & m)
-        sub = _Evaluator(self.n_atoms, [(h ^ (h & out), pos, 0) for h, pos, neg in self.rules
-                                        if not neg & m and not pos & out], m & self.x)
+        Its program P'_mm holds the live rules of P^mm whose positive body misses
+        x - mm, minus x - mm in their heads.  B is left out: the rules that derive it
+        pass into P'_mm unchanged, so it lies in every model of P'_mm, and the live
+        bodies already skip it.  mm is minimal unless a candidate through the backdoor
+        mm n x models P'_mm and is a proper subset of B u mm."""
+        out = self.x - mm
+        rules = [(h if out.isdisjoint(h) else [a for a in h if a not in out], pos, ())
+                 for h, pos, neg in self.live if mm.isdisjoint(neg) and out.isdisjoint(pos)]
+        sub = _Evaluator(self.n_atoms, rules, self.x & mm)
         w = min(1 << len(sub.dom), BLOCK)
-        always_miss = -1 if mm - sub.base.union(sub.derivable) else 0
+        always_miss = -1 if mm - self.base - sub.base.union(sub.derivable) else 0
         for lo in range(0, 1 << len(sub.dom), w):
-            val, failed = sub.block(lo, w)[:2]
+            val, failed = next(sub.block(lo, w))
             inside, miss = ~failed & (1 << w) - 1, always_miss
             for a in sub.derivable:
                 if a in mm:
@@ -212,9 +213,8 @@ class _Evaluator:
 
 
 def _compile(p: Program, x) -> _Evaluator:
-    """p's rule masks compiled once, through the backdoor x over p's atom table."""
-    return _Evaluator(p.n_atoms, CompiledProgram(p).rules,
-                      atom_mask(check_atoms(p, x, "backdoor")))
+    """p's parsed rules compiled once, through the backdoor x over p's atom table."""
+    return _Evaluator(p.n_atoms, p.rule_parts, check_atoms(p, x, "backdoor"))
 
 
 def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
@@ -226,10 +226,10 @@ def candidate_sets(p: Program, x) -> tuple[Candidate, ...]:
     w = min(total, BLOCK)
     out = []
     for lo in range(0, total, w):
-        val = ev.block(lo, w)[0]
+        val = next(ev.block(lo, w))[0]
         for j in range(w):
             tau = TruthAssignment({a: val[a] >> j & 1 for a in ev.dom})
-            combined = ev.candidate(val, j)
+            combined = ev.base | ev.candidate(val, j)
             out.append(Candidate(tau, combined - tau.true_atoms, combined))
     return tuple(out)
 
@@ -242,18 +242,18 @@ def check_answer_set(p: Program, x, m) -> bool:
     """
     ev = _compile(p, x)
     mm = check_atoms(p, m, "interpretation")
-    val, failed, nonmin, scan = ev.block(sum(1 << i for i, a in enumerate(ev.dom) if a in mm), 1)
-    return (not failed | nonmin and ev.candidate(val, 0) == mm
+    lo = sum(1 << i for i, a in enumerate(ev.dom) if a in mm)
+    (val, failed), (nonmin, scan) = ev.block(lo, 1)
+    return (not failed | nonmin and ev.base | ev.candidate(val, 0) == mm
             and (not scan or ev.scan(mm)))
 
 
 def _settle(ev: _Evaluator, lo: int, hi: int) -> tuple[int, int, list[frozenset[int]]]:
-    """Model failures, minimality failures and answer sets over [lo, hi), block by block."""
+    """Model failures, minimality failures and answer sets less B over [lo, hi), by block."""
     w = min(hi - lo, BLOCK)
-    failed_model = failed_minimal = 0
-    accepted = []
+    failed_model, failed_minimal, accepted = 0, 0, []
     for start in range(lo, hi, w):
-        val, failed, nonmin, scan = ev.block(start, w)
+        (val, failed), (nonmin, scan) = ev.block(start, w)
         failed_model += failed.bit_count()
         failed_minimal += nonmin.bit_count()
         for j, bit in enumerate(reversed(bin(((1 << w) - 1) & ~(failed | nonmin)))):
@@ -292,9 +292,8 @@ def answer_sets(p: Program, x, jobs: int = 1) -> EvalReport:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs, _forked.__setitem__, ("ev", ev)) as pool:
             parts = pool.starmap(_forked_settle, ranges)
-    sets = frozenset(s for _, _, chunk in parts for s in chunk)
-    return EvalReport(frozenset(ev.dom), sets, total,
-                      sum(part[0] for part in parts), sum(part[1] for part in parts))
+    return EvalReport(frozenset(ev.dom), frozenset(ev.base | s for *_, sets in parts for s in sets),
+                      total, sum(part[0] for part in parts), sum(part[1] for part in parts))
 
 
 def horn_star_answer_sets(p: Program) -> set[frozenset[int]]:

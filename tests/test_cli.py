@@ -245,8 +245,9 @@ def _count_builds(monkeypatch):
 
 
 def test_solve_builds_one_program(capsys, tmp_path, monkeypatch):
-    # disjoint pairs reach the minimality scan; every scan masks the compiled
-    # rules, so the parse builds the only Program of the run, and no Rule
+    # disjoint pairs reach the minimality scan; every scan builds its program
+    # from the compiled live rules, so the parse builds the only Program of the
+    # run, and no Rule
     from aspback.evaluate import _Evaluator
     f = tmp_path / "pairs.lp"
     f.write_text("".join(f"a{i} | b{i}.\nc{i} :- a{i}.\nc{i} :- b{i}.\n" for i in range(12)))

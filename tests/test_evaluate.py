@@ -1,6 +1,7 @@
 import os
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,6 @@ from aspback import (BackdoorQuery, EvalReport, Program, ProgramBuilder, TargetC
                      least_model, mode_result, parse_program)
 from aspback import evaluate
 from aspback.evaluate import _Evaluator
-from aspback.program import CompiledProgram, atom_mask
 from conftest import corpus, names_of
 
 
@@ -155,7 +155,7 @@ def test_no_fork_within_one_block(fake_pool):
 def test_minimality_scan_matches_definition(ex1, ex1_ids):
     # scan(m) decides minimality of any model m, not only of candidates
     x = {ex1_ids["r"], ex1_ids["s"]}
-    ev = _Evaluator(ex1.n_atoms, CompiledProgram(ex1).rules, atom_mask(x))
+    ev = _Evaluator(ex1.n_atoms, ex1.rule_parts, frozenset(x))
     verdicts = []
     for bits in range(1 << ex1.n_atoms):
         m = frozenset(a for a in range(ex1.n_atoms) if bits >> a & 1)
@@ -239,21 +239,27 @@ def test_odd_loops_settled_in_one_block(monkeypatch):
     # them, and the one model among them fails minimality by the least model
     # of its reduct, so no candidate is ever extracted
     blocks, extracted = [], []
-    block, candidate = _Evaluator.block, _Evaluator.candidate
+    block, settle = _Evaluator.block, evaluate._settle
     monkeypatch.setattr(_Evaluator, "block",
                         lambda self, lo, w: blocks.append((lo, w)) or block(self, lo, w))
-    monkeypatch.setattr(_Evaluator, "candidate",
-                        lambda self, val, j: extracted.append(j) or candidate(self, val, j))
+    monkeypatch.setattr(_Evaluator, "scan", lambda self, mm: pytest.fail("scanned"))
+
+    def counted(ev, lo, hi):
+        part = settle(ev, lo, hi)
+        extracted.extend(part[2])
+        return part
+    monkeypatch.setattr(evaluate, "_settle", counted)
     k = 9
     p = parse_program(_loops(k, "g{i} :- not g{i}."))
     rep = answer_sets(p, {p.atom_id(f"g{i}") for i in range(k)})
     assert blocks == [(0, 2 ** k)]
     assert extracted == []
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
-    # an even loop accepts every candidate: each is extracted once
+    # an even loop accepts every candidate: each is extracted once, without B
     p = parse_program(_loops(k, "a{i} :- not b{i}.\nb{i} :- not a{i}."))
     rep = answer_sets(p, {p.atom_id(f"a{i}") for i in range(k)})
     assert len(rep.answer_sets) == len(extracted) == 2 ** k
+    assert all(len(m) == k for m in extracted)
 
 
 @pytest.mark.parametrize("chain", [485, 4850])
@@ -299,6 +305,45 @@ def test_long_reversed_chain_closes_in_one_pass():
     assert rep.answer_sets == frozenset() and rep.candidates_total == 2 ** k
     assert (rep.failed_model, rep.failed_minimal) == (2 ** k - 1, 1)
     assert len(evaluate._compile(p, x).props) == k
+
+
+def test_long_reversed_chain_solves_in_linear_memory():
+    # the compile holds id lists, none as wide as the atom table, so the peak
+    # stays linear in the program; per-rule int masks alone would take 55 MB here
+    k = 13
+    p = _reversed_loops(k, "g{i} :- not g{i}.", 20000)
+    x = {p.atom_id(f"g{i}") for i in range(k)}
+    tracemalloc.start()
+    try:
+        rep = answer_sets(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.candidates_total == 2 ** k and rep.answer_sets == frozenset()
+    assert peak < 20 * 2 ** 20
+
+
+def test_scans_skip_the_settled_chain(monkeypatch):
+    # every candidate of 12 disjoint pairs is scanned; each scan's evaluator is
+    # built from the pairs' live rules alone, so neither its input nor its
+    # propagation rules grow with the chain below them
+    sizes = []
+    init = _Evaluator.__init__
+
+    def counted(self, n_atoms, rules, x):
+        init(self, n_atoms, rules, x)
+        sizes.append((len(rules), len(self.props)))
+    monkeypatch.setattr(_Evaluator, "__init__", counted)
+    k, scans = 12, {}
+    for chain in (485, 4850):
+        sizes.clear()
+        p = parse_program(_loops(k, "a{i} | b{i}.", chain))
+        rep = answer_sets(p, {p.atom_id(f"a{i}") for i in range(k)})
+        assert len(rep.answer_sets) == 2 ** k
+        assert sizes[0] == (k + chain + 1, k) and len(sizes) == 2 ** k + 1
+        scans[chain] = sizes[1:]
+    assert scans[485] == scans[4850]
+    assert {n for n, _ in scans[485]} == {k}
 
 
 def test_rejection_split_even_loops():
@@ -379,7 +424,7 @@ def test_one_propagation_matches_subset_scan(monkeypatch):
     checked = 0
     for p in corpus(60, seed=31, n_atoms=9, density=2.0):
         x = find_backdoor(p, BackdoorQuery(TargetClass.HORN)).witness
-        ev = _Evaluator(p.n_atoms, CompiledProgram(p).rules, atom_mask(x))
+        ev = _Evaluator(p.n_atoms, p.rule_parts, frozenset(x))
         for c in candidate_sets(p, x):
             if is_model(p, c.combined):
                 fast = check_answer_set(p, x, c.combined)
