@@ -2,7 +2,7 @@
 
 Each truth assignment tau over x gives a Horn* reduct whose only possible answer
 set is the least model L of its definite core: the candidates are M = L u tau^-1(1).
-The program is compiled once, from the (head, pos, neg) atom ids of its parsed rules,
+The program is compiled once, from the (head, pos, neg) atom ids of its rules,
 with no per-rule mask: one pass drops the tautological rules and closes the definite
 rules without atoms of x into a shared least model B, and only the live rules, whose
 head B leaves open, reach the blocks.  A block evaluates the assignments
@@ -213,7 +213,7 @@ class _Evaluator:
 
 
 def _compile(p: Program, x) -> _Evaluator:
-    """p's parsed rules compiled once, through the backdoor x over p's atom table."""
+    """p's rules compiled once, through the backdoor x over p's atom table."""
     return _Evaluator(p.n_atoms, p.rule_parts, check_atoms(p, x, "backdoor"))
 
 

@@ -2,7 +2,7 @@
 
 The brute-force ones enumerate bitmask-encoded interpretations exhaustively
 and are guarded against accidental use on large inputs.  The Horn ones (model
-check, least model) work on atom-id sets, apart from the evaluator's masks.
+check, least model) read the rules' atom-id tuples, not the evaluator's masks.
 The deletion-backdoor oracle shares the search's deletion_violation closure;
 its independence comes from tests/test_membership_reference.py, which checks
 that closure against the class definitions.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .depgraph import deletion_violation, in_target_class
 from .program import CompiledProgram, Program, TargetClass, atom_mask, atoms_of
@@ -29,7 +29,7 @@ def is_model(p: Program, m: Iterable[int]) -> bool:
                    for h, pos, neg in p.rule_parts)
 
 
-def propagate_definite(definite: list[tuple[int, frozenset[int]]]) -> frozenset[int]:
+def propagate_definite(definite: list[tuple[int, Collection[int]]]) -> frozenset[int]:
     """Least model of (head, positive body) pairs by counting unit propagation:
     a rule fires when its count of underived body atoms reaches zero."""
     count = [len(body) for _, body in definite]
@@ -56,18 +56,10 @@ def least_model(p: Program) -> tuple[frozenset[int], bool]:
     counting propagation in linear time, and whether it satisfies every
     constraint, as it does iff the program has a model.  Raises on non-Horn
     input."""
-    definite: list[tuple[int, frozenset[int]]] = []
-    constraints: list[frozenset[int]] = []
-    for r in p.rules:
-        if r.neg_body or len(r.head) > 1:
-            raise ValueError("least_model requires a Horn program")
-        if r.head:
-            definite.append((next(iter(r.head)), r.pos_body))
-        else:
-            constraints.append(r.pos_body)
-
-    lm = propagate_definite(definite)
-    sat = all(body - lm for body in constraints)
+    if any(neg or len(h) > 1 for h, _, neg in p.rule_parts):
+        raise ValueError("least_model requires a Horn program")
+    lm = propagate_definite([(h[0], pos) for h, pos, _ in p.rule_parts if h])
+    sat = not any(lm.issuperset(pos) for h, pos, _ in p.rule_parts if not h)
     return lm, sat
 
 

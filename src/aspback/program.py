@@ -4,12 +4,12 @@ A rule has the shape
 
     h1 | ... | hk :- b1, ..., bm, not c1, ..., not cn.
 
-with the three parts stored as (head, pos, neg) atom ids: tuples of
-distinct ids in a parsed or ProgramBuilder program, whose Rule objects
-(frozensets) are built on the first read of Program.rules, or the Rules a
-program was built from.  Atoms are interned into a per-program table in
-order of first occurrence, so ids are dense and stable under render/parse
-round trips.  depgraph decides membership in the target classes named here.
+with the three parts stored as (head, pos, neg) tuples of distinct atom ids
+in every program, parsed, built or derived; Rule objects (frozensets) are
+only a view, built on the first read of Program.rules.  Atoms are interned
+into a per-program table in order of first occurrence, so ids are dense and
+stable under render/parse round trips.  depgraph decides membership in the
+target classes named here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 ATOM_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
@@ -70,33 +70,33 @@ class Rule:
 class Program:
     """Immutable program: an atom table plus an ordered list of rules.
 
-    rule_parts holds each rule as (head, pos, neg) atom ids: tuples, built
-    into Rules on the first read of rules, which then replace them; or the
-    Rules given to __init__, each of which unpacks into its three sets.
+    rule_parts holds each rule as a (head, pos, neg) triple of tuples of
+    distinct atom ids, the only form in which rules are stored; rules is a
+    view of them as Rules, built on its first read.  __init__ takes any id
+    triples, Rules included, and drops repeated ids as the parser does.
     """
 
     __slots__ = ("atom_names", "rule_parts", "duplicate_literals",
                  "_name_to_id", "_rules")
 
-    def __init__(self, atom_names: Sequence[str], rules: Sequence[Rule],
+    def __init__(self, atom_names: Sequence[str], rules: Iterable[Iterable[Collection[int]]],
                  duplicate_literals: int = 0):
         self.atom_names: tuple[str, ...] = tuple(atom_names)
-        self.rule_parts = self._rules = tuple(rules)
+        self.rule_parts, self._rules = tuple(_distinct(*r) for r in rules), None
         # parse-time metadata, not part of structural equality
         self.duplicate_literals = duplicate_literals
         self._name_to_id = {n: i for i, n in enumerate(self.atom_names)}
         if len(self._name_to_id) != len(self.atom_names):
             raise ValueError("duplicate atom name in table")
         n = len(self.atom_names)
-        for r in self._rules:
-            for a in r.atoms:
-                if not (0 <= a < n):
-                    raise ValueError(f"rule mentions unknown atom id {a}")
+        bad = [a for r in self.rule_parts for part in r for a in part if not 0 <= a < n]
+        if bad:
+            raise ValueError(f"rule mentions unknown atom id {bad[0]}")
 
     @property
     def rules(self) -> tuple[Rule, ...]:
         if self._rules is None:
-            self.rule_parts = self._rules = tuple(Rule(*map(frozenset, r)) for r in self.rule_parts)
+            self._rules = tuple(Rule(*map(frozenset, r)) for r in self.rule_parts)
         return self._rules
 
     @property
@@ -119,9 +119,9 @@ class Program:
             out.update(h, pos, neg)
         return frozenset(out)
 
-    def with_rules(self, rules: Iterable[Rule]) -> "Program":
-        """Same atom table, different rule list."""
-        return Program(self.atom_names, tuple(rules))
+    def with_rules(self, rules: Iterable[Iterable[Collection[int]]]) -> "Program":
+        """Same atom table, different rule list, as __init__ takes it."""
+        return Program(self.atom_names, rules)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
@@ -133,6 +133,13 @@ class Program:
 
     def __repr__(self) -> str:
         return f"Program({self.n_atoms} atoms, {len(self.rule_parts)} rules)"
+
+
+def _distinct(head, pos, neg) -> tuple[tuple[int, ...], ...]:
+    """A rule's parts as tuples of ids, repeats dropped in first-seen order."""
+    return (tuple(head) if len(head) < 2 else tuple(dict.fromkeys(head)),
+            tuple(pos) if len(pos) < 2 else tuple(dict.fromkeys(pos)),
+            tuple(neg) if len(neg) < 2 else tuple(dict.fromkeys(neg)))
 
 
 class ProgramBuilder:
@@ -155,9 +162,7 @@ class ProgramBuilder:
 
     def _add(self, head: list[int], pos: list[int], neg: list[int]) -> None:
         """Add a rule of interned ids, dropping (and counting) repeats."""
-        rule = (tuple(head) if len(head) < 2 else tuple(dict.fromkeys(head)),
-                tuple(pos) if len(pos) < 2 else tuple(dict.fromkeys(pos)),
-                tuple(neg) if len(neg) < 2 else tuple(dict.fromkeys(neg)))
+        rule = _distinct(head, pos, neg)
         self.duplicate_literals += len(head) + len(pos) + len(neg) - sum(map(len, rule))
         self._rules.append(rule)
 
@@ -308,7 +313,7 @@ ACYCLIC_CLASSES = frozenset({
 
 def core(p: Program) -> Program:
     """Drop tautological rules and constraints; the atom table is unchanged."""
-    return p.with_rules(r for r in p.rules if r.head and not r.tautological)
+    return p.with_rules(r for r in p.rule_parts if r[0] and not tautological(*r))
 
 
 def atom_mask(atoms: Iterable[int]) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .program import Program, Rule
+from .program import Program
 
 
 class TruthAssignment:
@@ -81,8 +81,7 @@ def gl_reduct(p: Program, m: Iterable[int]) -> Program:
     bodies of the survivors.  The result is negation-free.
     """
     mm = check_atoms(p, m, "interpretation")
-    return p.with_rules(Rule(r.head, r.pos_body, frozenset()) for r in p.rules
-                        if not r.neg_body & mm)
+    return p.with_rules((h, pos, ()) for h, pos, neg in p.rule_parts if mm.isdisjoint(neg))
 
 
 def ta_reduct(p: Program, tau: TruthAssignment) -> Program:
@@ -95,8 +94,8 @@ def ta_reduct(p: Program, tau: TruthAssignment) -> Program:
     """
     tau = tau.restrict(range(p.n_atoms))
     x, t1, t0 = tau.domain, tau.true_atoms, tau.false_atoms
-    return p.with_rules(Rule(r.head - x, r.pos_body - x, r.neg_body - x) for r in p.rules
-                        if not (r.head & t1 or r.head <= x or r.pos_body & t0 or r.neg_body & t1))
+    return delete_atoms(p.with_rules((h, pos, neg) for h, pos, neg in p.rule_parts if (
+        t1.isdisjoint(h) and not x.issuperset(h) and t0.isdisjoint(pos) and t1.isdisjoint(neg))), x)
 
 
 def delete_atoms(p: Program, x: Iterable[int]) -> Program:
@@ -107,4 +106,5 @@ def delete_atoms(p: Program, x: Iterable[int]) -> Program:
     from the table are ignored.
     """
     xx = frozenset(x)
-    return p.with_rules(Rule(*(frozenset(part) - xx for part in r)) for r in p.rule_parts)
+    return p.with_rules(tuple(tuple(a for a in part if a not in xx) for part in r)
+                        for r in p.rule_parts)

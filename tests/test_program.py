@@ -297,10 +297,21 @@ DUPLICATE_LITERALS = (
 )
 
 
+def _id_tuples(q):
+    """q's rules are (head, pos, neg) tuples of tuples of distinct ints."""
+    return type(q.rule_parts) is tuple and all(
+        type(r) is tuple and len(r) == 3 and all(
+            type(part) is tuple and len(set(part)) == len(part)
+            and all(type(a) is int for a in part) for part in r)
+        for r in q.rule_parts)
+
+
 def test_parsed_rule_parts_agree_with_rule_built_twin():
-    # a parsed program reads its id tuples where a program built from the
-    # same Rules reads their frozensets; every view must come out the same
-    from aspback import BackdoorQuery, find_backdoor, horn_conflict_graph
+    # a parsed program, its twin built from the same Rules and its twin built
+    # from its own id tuples store the same rules as id tuples, and every
+    # view, and every reduct, must come out the same
+    from aspback import (BackdoorQuery, TruthAssignment, delete_atoms, find_backdoor,
+                         gl_reduct, horn_conflict_graph, ta_reduct)
     from test_detect import _golden_corpus
     # every rendered golden program parses; the mutants that do not are dropped
     texts = [render_program(p) for p in _golden_corpus()]
@@ -311,16 +322,32 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
     dups = 0
     for text in texts:
         p = parse_program(text)
-        twin = Program(p.atom_names, parse_program(text).rules)
+        parts = p.rule_parts
+        twins = (Program(p.atom_names, parse_program(text).rules), Program(p.atom_names, parts))
+        m, x = range(0, p.n_atoms, 2), range(p.n_atoms // 3)
+        tau = TruthAssignment({a: a % 2 for a in x})
+        derived = [(q, core(q), gl_reduct(q, m), ta_reduct(q, tau), delete_atoms(q, x))
+                   for q in (p,) + twins]
+        for qs in derived:
+            assert all(map(_id_tuples, qs)), text
+            assert list(map(render_program, qs)) == list(map(render_program, derived[0])), text
         dups += p.duplicate_literals
-        assert render_program(p) == render_program(twin), text
-        assert CompiledProgram(p).rules == CompiledProgram(twin).rules, text
-        assert p.occurring_atoms() == twin.occurring_atoms(), text
-        assert horn_conflict_graph(p) == horn_conflict_graph(twin), text
-        for q in queries:
-            assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
-        assert p == twin and hash(p) == hash(twin), text
+        for twin in twins:
+            assert CompiledProgram(p).rules == CompiledProgram(twin).rules, text
+            assert p.occurring_atoms() == twin.occurring_atoms(), text
+            assert horn_conflict_graph(p) == horn_conflict_graph(twin), text
+            for q in queries:
+                assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
+            assert p == twin and hash(p) == hash(twin), text
+        assert twins[1].rule_parts == parts, text
+        # reading rules, ==, hash and core(p) left the id tuples in place
+        assert len(p.rules) == len(parts) and p.rule_parts is parts, text
     assert len(texts) > 1000 and dups >= 11
+    # with_rules takes id triples too: repeats are dropped, unknown ids refused
+    p = parse_program("a :- b, not c.")
+    assert p.with_rules([([0, 0], (1, 1, 1), {2})]).rule_parts == (((0,), (1,), (2,)),)
+    with pytest.raises(ValueError, match="unknown atom id 3"):
+        p.with_rules([((0,), (3,), ())])
 
 
 def test_rendered_corpora_parse_back():
@@ -366,7 +393,8 @@ def test_parse_deduplicates_each_part():
     assert p.duplicate_literals == 3
     a, b, c, d = map(p.atom_id, "abcd")
     assert p.rule_parts == (((a, b), (c,), (d,)),)
-    # the first read of rules builds the Rules, which then replace the tuples
+    # the first read of rules builds a view of Rules; the tuples stay
+    parts = p.rule_parts
     (r,) = p.rules
     assert (r.head, r.pos_body, r.neg_body) == tuple(map(frozenset, ((a, b), (c,), (d,))))
-    assert p.rule_parts is p.rules
+    assert p.rule_parts is parts and p.rules is p.rules
