@@ -289,32 +289,6 @@ def _first_shortest(adj: list[int], comp: list[int], cands, degree: int,
     return None if best is None else _fifo_path(adj, *best)
 
 
-def _directed_cycle(d: DependencyDigraph, bad_only: bool,
-                    skip_two: bool) -> CycleWitness | None:
-    """The search of find_directed_cycle; it reads d.comp only past loops
-    and, with skip_two, bad two-cycles."""
-    succ, neg = d.succ, d.neg
-
-    def witness(cycle: list[int]) -> CycleWitness:
-        verts = _rotate_min(cycle)
-        bad = any(neg[a] >> b & 1 for a, b in zip(verts, verts[1:] + verts[:1]))
-        return CycleWitness("directed", verts, bad)
-
-    cand = neg if bad_only else succ
-    for u in (u for u, m in enumerate(cand) if m >> u & 1):
-        return witness([u])
-    for u, m in enumerate(succ if skip_two else ()):
-        for v in atoms_of(m >> u + 1 << u + 1):
-            if succ[v] >> u & 1 and (neg[u] >> v | neg[v] >> u) & 1:
-                return witness([u, v])
-    # edge (u, v) is closed by a path v -> u; with skip_two, not by v -> u
-    comp = d.comp
-    path = _first_shortest(succ, comp, (
-        (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
-        for v in atoms_of(m & comp[u])), 1, 1, 3 if skip_two else 2)
-    return None if path is None else witness(path[-1:] + path[:-1])
-
-
 def _bad_cycle(n: int, neg_edges, pos: list[int]) -> list[int] | None:
     """The cycle through a negative vertex that find_undirected_cycle finds."""
     best = next(([x, n + i] for i, (x, y) in enumerate(neg_edges) if x == y), None)
@@ -356,8 +330,28 @@ def find_directed_cycle(d: DependencyDigraph, *, bad_only: bool = False,
     to cycles through a negative edge; allow_good_two_cycles permits
     two-cycles of positive edges.  Each candidate edge (u, v) is closed by the
     shortest path v -> u; the first shortest cycle in sorted edge order wins.
+    It reads d.comp only past loops and, if it allows good two-cycles, bad ones.
     """
-    return _directed_cycle(d, bad_only, allow_good_two_cycles and not bad_only)
+    succ, neg = d.succ, d.neg
+
+    def witness(cycle: list[int]) -> CycleWitness:
+        verts = _rotate_min(cycle)
+        bad = any(neg[a] >> b & 1 for a, b in zip(verts, verts[1:] + verts[:1]))
+        return CycleWitness("directed", verts, bad)
+
+    cand, skip_two = (neg, False) if bad_only else (succ, allow_good_two_cycles)
+    for u in (u for u, m in enumerate(cand) if m >> u & 1):
+        return witness([u])
+    for u, m in enumerate(succ if skip_two else ()):
+        for v in atoms_of(m >> u + 1 << u + 1):
+            if succ[v] >> u & 1 and (neg[u] >> v | neg[v] >> u) & 1:
+                return witness([u, v])
+    # edge (u, v) is closed by a path v -> u; with skip_two, not by v -> u
+    comp = d.comp
+    path = _first_shortest(succ, comp, (
+        (v, u, skip_two << u) for u, m in enumerate(cand) if m & comp[u]
+        for v in atoms_of(m & comp[u])), 1, 1, 3 if skip_two else 2)
+    return None if path is None else witness(path[-1:] + path[:-1])
 
 
 def find_undirected_cycle(g: UndirectedDepGraph, *,
@@ -380,7 +374,8 @@ def cycle_witness(d: DependencyDigraph, c: TargetClass) -> CycleWitness | None:
         raise ValueError(f"{c} is not an acyclicity-based class")
     if c is TargetClass.C_ACYC or c is TargetClass.BC_ACYC:
         return find_undirected_cycle(d.udg, bad_only=c is TargetClass.BC_ACYC)
-    return _directed_cycle(d, c is TargetClass.STRAT, c is TargetClass.DC2_ACYC)
+    return find_directed_cycle(d, bad_only=c is TargetClass.STRAT,
+                               allow_good_two_cycles=c is TargetClass.DC2_ACYC)
 
 
 def _branch_atoms(d: DependencyDigraph, pred: list[int],

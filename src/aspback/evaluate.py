@@ -5,11 +5,12 @@ set is the least model L of its definite core: the candidates are M = L u tau^-1
 The program is compiled once, from the (head, pos, neg) atom ids of its rules,
 with no per-rule mask: one pass drops the tautological rules and closes the definite
 rules without atoms of x into a shared least model B, and only the live rules, whose
-head B leaves open, reach the blocks.  A block evaluates the assignments
-lo .. lo + w - 1 (w a power of two, lo a multiple of w) together: each atom holds one
-int whose bit j says whether it lies in the candidate of lo + j, the i-th atom of x
-holding bit i of lo + j, and a gate is a list of atoms that switch a rule off where
-one is true.  A block runs two fixpoints:
+head B leaves open, reach the blocks, B left out of their bodies.  As no propagation
+rule, check or disj entry names an atom of B, a block holds no value for B's atoms.
+A block evaluates the assignments lo .. lo + w - 1 (w a power of two, lo a multiple
+of w) together: each atom holds one int whose bit j says whether it lies in the
+candidate of lo + j, the i-th atom of x holding bit i of lo + j, and a gate is a
+list of atoms that switch a rule off where one is true.  A block runs two fixpoints:
 - the closure, where a rule fires unless a head atom in x or a negative atom is true;
   only rules with their head inside x (constraints too) can then fail the model
   test, and each ORs its violations into the block's failed mask;
@@ -70,7 +71,9 @@ class _Evaluator:
     Propagation rules are the live rules with a head outside B that leaves x or is
     their one head atom in x, kept as that atom, their body (positive, outside B)
     and two gates, None where the rule never fires: its head atoms in x and its
-    negative body in the closure, and its negative body in P^M."""
+    negative body in the closure, and its negative body in P^M.  block relies on this:
+    no propagation head, body or gate, check or disj entry names an atom of B (self.base),
+    as a head or a negative atom in B drops its rule and bodies skip B."""
 
     def __init__(self, n_atoms: int, rules, x: frozenset[int]):
         self.n_atoms = n_atoms
@@ -149,10 +152,7 @@ class _Evaluator:
         test, then, on demand, the masks of those that fail minimality by the least
         model of P^M and of those left to scan, both disjoint from the first."""
         full = (1 << w) - 1
-        val = [0] * self.n_atoms
-        for a in self.base:
-            val[a] = full
-        least = val.copy()
+        val, least = [0] * self.n_atoms, [0] * self.n_atoms  # 0 on B, which nothing reads
         # the i-th atom of x is bit i of lo + j: runs of 2^i zeros and ones, or
         # constant from 2^i = w on; no rule of the closure changes it
         for i, a in enumerate(self.dom):

@@ -6,10 +6,10 @@ A rule has the shape
 
 with the three parts stored as (head, pos, neg) tuples of distinct atom ids
 in every program, parsed, built or derived; Rule objects (frozensets) are
-only a view, built on the first read of Program.rules.  Atoms are interned
-into a per-program table in order of first occurrence, so ids are dense and
-stable under render/parse round trips.  depgraph decides membership in the
-target classes named here.
+only a view, built on the first read of Program.rules and by nothing else,
+== and hash included.  Atoms are interned into a per-program table in order
+of first occurrence, so ids are dense and stable under render/parse round
+trips.  depgraph decides membership in the target classes named here.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Program:
     rule_parts holds each rule as a (head, pos, neg) triple of tuples of
     distinct atom ids, the only form in which rules are stored; rules is a
     view of them as Rules, built on its first read.  __init__ takes any id
-    triples, Rules included, and drops repeated ids as the parser does.
+    triples, Rules included, and drops repeated ids as the parser does.  ==
+    compares the tuples rule by rule, each part as a set; hash reads no rule.
     """
 
     __slots__ = ("atom_names", "rule_parts", "duplicate_literals",
@@ -126,10 +127,12 @@ class Program:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
             return NotImplemented
-        return self.atom_names == other.atom_names and self.rules == other.rules
+        a, b = self.rule_parts, other.rule_parts
+        return self.atom_names == other.atom_names and len(a) == len(b) and all(
+            r == s or all(set(x) == set(y) for x, y in zip(r, s)) for r, s in zip(a, b))
 
-    def __hash__(self) -> int:
-        return hash((self.atom_names, self.rules))
+    def __hash__(self) -> int:  # equal programs share the table and the rule count
+        return hash((self.atom_names, len(self.rule_parts)))
 
     def __repr__(self) -> str:
         return f"Program({self.n_atoms} atoms, {len(self.rule_parts)} rules)"

@@ -373,10 +373,21 @@ def test_matches_brute_on_disjunctive_corpus(monkeypatch):
     # random_program output is always normal; this corpus reaches the minimality
     # scan, which only reducts with two or more head atoms still need; a random
     # superset of the witness puts more atoms into M n x, so scans look at more subsets
-    scans = []
-    scan = _Evaluator.scan
+    scans, bases = [], []
+    scan, init = _Evaluator.scan, _Evaluator.__init__
     monkeypatch.setattr(_Evaluator, "scan", lambda self, mm:
                         scans.append(len(mm.intersection(self.dom))) or scan(self, mm))
+
+    def checked(self, n_atoms, rules, x):
+        # block leaves B's atoms at 0, so no propagation rule (head, body or
+        # gates), check or disj entry of any evaluator, scan's too, names one
+        init(self, n_atoms, rules, x)
+        named = {a for h, body, g, k in self.props for a in (h, *body, *(g or ()), *(k or ()))}
+        named.update(a for g, pos in self.checks for a in (*g, *pos))
+        named.update(a for neg in self.disj for a in neg)
+        assert self.base.isdisjoint(named)
+        bases.append(len(self.base))
+    monkeypatch.setattr(_Evaluator, "__init__", checked)
     rng, pick = random.Random(2013), random.Random(2015)
     for _ in range(300):
         p = _mixed_program(rng, rng.randint(1, 10))
@@ -392,6 +403,7 @@ def test_matches_brute_on_disjunctive_corpus(monkeypatch):
             non_models += not is_model(p, c.combined)
         assert rep.failed_model == non_models
     assert len(scans) > 500 and max(scans) >= 3
+    assert len(bases) > len(scans) and sum(map(bool, bases)) > 1000
 
 
 @pytest.mark.parametrize("block", [1, 2, 8])

@@ -307,9 +307,10 @@ def _id_tuples(q):
 
 
 def test_parsed_rule_parts_agree_with_rule_built_twin():
-    # a parsed program, its twin built from the same Rules and its twin built
-    # from its own id tuples store the same rules as id tuples, and every
-    # view, and every reduct, must come out the same
+    # a parsed program, its twin built from the same Rules, its twin built
+    # from its own id tuples and its twin with every part reversed store the
+    # same rules as id tuples, and every view, and every reduct, must come out
+    # the same; == and hash compare the id tuples without building a Rule
     from aspback import (BackdoorQuery, TruthAssignment, delete_atoms, find_backdoor,
                          gl_reduct, horn_conflict_graph, ta_reduct)
     from test_detect import _golden_corpus
@@ -323,7 +324,11 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
     for text in texts:
         p = parse_program(text)
         parts = p.rule_parts
-        twins = (Program(p.atom_names, parse_program(text).rules), Program(p.atom_names, parts))
+        twins = (Program(p.atom_names, parse_program(text).rules), Program(p.atom_names, parts),
+                 Program(p.atom_names, [tuple(part[::-1] for part in r) for r in parts]))
+        for twin in twins[1:]:
+            assert p == twin and twin == p and hash(p) == hash(twin), text
+        assert p._rules is None and twins[2]._rules is None, text
         m, x = range(0, p.n_atoms, 2), range(p.n_atoms // 3)
         tau = TruthAssignment({a: a % 2 for a in x})
         derived = [(q, core(q), gl_reduct(q, m), ta_reduct(q, tau), delete_atoms(q, x))
@@ -340,9 +345,14 @@ def test_parsed_rule_parts_agree_with_rule_built_twin():
                 assert find_backdoor(p, q) == find_backdoor(twin, q), (text, q)
             assert p == twin and hash(p) == hash(twin), text
         assert twins[1].rule_parts == parts, text
-        # reading rules, ==, hash and core(p) left the id tuples in place
+        # nothing above built the Rule view; reading it leaves the id tuples in place
+        assert p._rules is None, text
         assert len(p.rules) == len(parts) and p.rule_parts is parts, text
     assert len(texts) > 1000 and dups >= 11
+    # same table and rule count, and one part differs as a set: unequal
+    p = parse_program("a | b :- c, not d.")
+    q = p.with_rules([((1, 0), (3,), (3,))])
+    assert p != q and not q == p and hash(p) == hash(q)
     # with_rules takes id triples too: repeats are dropped, unknown ids refused
     p = parse_program("a :- b, not c.")
     assert p.with_rules([([0, 0], (1, 1, 1), {2})]).rule_parts == (((0,), (1,), (2,)),)
